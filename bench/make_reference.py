@@ -44,16 +44,6 @@ def git(*args) -> str:
                           text=True).stdout.strip()
 
 
-def cyclic_optimal(disks: int) -> dict:
-    """Optimal cyclic (I->II->III->I) transfer lengths from the recurrence
-    Q_n = 2 R_{n-1} + 1 (one step along the cycle) and
-    R_n = 2 R_{n-1} + Q_{n-1} + 2 (two steps)."""
-    q = r = 0
-    for _ in range(disks):
-        q, r = 2 * r + 1, 2 * r + q + 2
-    return {"II": q, "III": r}
-
-
 def text_digest(name: str, length: int) -> str:
     return w.digest(catalog.catalog_prefix(name, length).text())
 
@@ -84,7 +74,7 @@ def bulk_reference(raised: dict) -> dict:
 
 
 def oracle_reference() -> dict:
-    cyclic = cyclic_optimal(w.BFS_CYCLIC_DISKS)
+    cyclic = w.cyclic_optimal(w.BFS_CYCLIC_DISKS)
     # the cyclic move sequence completes the tower at the optimal step
     trace = hanoi.simulate(catalog.catalog_prefix("cyclic-hanoi", 2 * cyclic["III"]),
                            w.BFS_CYCLIC_DISKS, hanoi.CYCLIC)
@@ -114,6 +104,16 @@ def oracle_reference() -> dict:
         "automaton_first_mismatch": None,
         "validation_failures": [],
     }
+
+
+def check_solve_moves() -> None:
+    """The computed move counts behind symbols_per_s match what
+    `hanoi solve` prints."""
+    for argv in w.query_pool()["solve"]:
+        if "--format" not in argv:
+            _, out = w.run_cli(argv)
+            moves = next(line for line in out.splitlines() if line.startswith("moves: "))
+            assert int(moves.split()[1]) == w.query_symbols(argv), (argv, moves)
 
 
 def covering_seeds(params, limit: int = 200) -> list[int]:
@@ -151,7 +151,7 @@ def main() -> int:
         return 2
     raised: dict[str, str] = {}
     queries = {w.query_key(argv): cli_reference(argv, raised)
-               for stratum in w.query_pool().values() for argv in stratum}
+               for pool in w.query_pool().values() for argv in pool}
     reference = {
         "commit": git("rev-parse", "HEAD"),
         "generator": "bench/make_reference.py",
@@ -163,6 +163,7 @@ def main() -> int:
         "point-queries": queries,
         "raised_at_seed": raised,
     }
+    check_solve_moves()
     self_check(reference)
     run.REFERENCE.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
     print(f"wrote {run.REFERENCE.relative_to(ROOT)} at {reference['commit']}; "

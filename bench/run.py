@@ -165,22 +165,22 @@ def keep_going(walls, started: float, seconds: float) -> bool:
 
 
 def end_to_end(ops, seconds: float, tally: Tally) -> tuple[dict, dict]:
-    """Every pass replays the same operations.  Each operation's latency is
-    the lower quartile of its repetitions: interference from the rest of a
-    shared host only adds time, comes and goes within seconds, and leaves
-    the lower quartile steadier than the fastest repetition or the median."""
+    """Every pass replays the same operations.  wall_s is the median pass;
+    the request quantiles pool every operation of every pass, so a cost
+    that lands on a different request in each pass still counts."""
     setup, setup_n = setup_s()
     walls: list[float] = []
-    repetitions: list[list[float]] = []
+    latencies: list[float] = []
+    by_category: dict[str, float] = {}
     started = time.perf_counter()
     while keep_going(walls, started, seconds):
         wall, times = run_pass(ops, tally)
         walls.append(wall)
-        repetitions.append(times)
-    latency = [statistics.quantiles(op_times, n=4, method="inclusive")[0]
-               for op_times in zip(*repetitions)]
-    wall = sum(latency)
-    cuts = statistics.quantiles(latency, n=100, method="inclusive")
+        latencies += times
+        for op, t in zip(ops, times):
+            by_category[op.category] = by_category.get(op.category, 0.0) + t
+    wall = statistics.median(walls)
+    cuts = statistics.quantiles(latencies, n=100, method="inclusive")
     values = {
         "setup_s": setup,
         "wall_s": wall,
@@ -190,17 +190,11 @@ def end_to_end(ops, seconds: float, tally: Tally) -> tuple[dict, dict]:
         "req_per_s": len(ops) / wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
     }
-    # wall_s, symbols_per_s and req_per_s rest on every repetition of the
-    # pass; the request quantiles on one time per operation
     samples = dict.fromkeys(END_TO_END, len(walls))
-    samples.update(setup_s=setup_n, req_p50_ms=len(ops), req_p99_ms=len(ops),
-                   peak_rss_mb=1)
-    by_category: dict[str, float] = {}
-    for op, t in zip(ops, latency):
-        by_category[op.category] = by_category.get(op.category, 0.0) + t
+    samples.update(setup_s=setup_n, req_p50_ms=len(latencies),
+                   req_p99_ms=len(latencies), peak_rss_mb=1)
     context = {"samples": samples, "passes": len(walls),
-               "pass_wall_s_median": statistics.median(walls),
-               "category_s": by_category}
+               "category_s": {c: t / len(walls) for c, t in by_category.items()}}
     return values, context
 
 

@@ -35,23 +35,38 @@ def test_mix_is_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
-def test_mix_covers_every_category_in_fixed_counts(seed):
+def test_mix_gives_every_category_its_fixed_count(seed):
     mix = workloads.query_mix(seed)
     counts = {}
-    for stratum, _ in mix:
-        counts[stratum] = counts.get(stratum, 0) + 1
+    for category, _ in mix:
+        counts[category] = counts.get(category, 0) + 1
     assert counts == workloads.PER_PASS
+    assert len(set(counts[c] for c in workloads.CATEGORIES)) == 1
     commands = {argv[0] for _, argv in mix}
     assert commands == {"generate", "eval", "hanoi", "census", "derive", "compare",
-                        "christol", "squarefree", "kernel", "construct-nonuniform",
-                        "toeplitz"}
-    disks0 = sum(stratum == "edge-disks0" for stratum, _ in mix)
-    assert disks0 / len(mix) == 24 / 1792
+                        "christol"}
+    disks0 = sum(category == "edge-disks0" for category, _ in mix)
+    assert disks0 / len(mix) == 22 / 1606
+    edges = sum(category.startswith("edge-") for category, _ in mix)
+    assert 0.03 < edges / len(mix) < 0.05
+
+
+def test_query_symbols_counts_what_each_request_asks_for():
+    q = workloads.query_symbols
+    assert q(("generate", "fibonacci", "--length", "4096")) == 4096
+    assert q(("generate", "fibonacci", "--length", "-5")) == 0
+    assert q(("compare", "thue-morse", "period-doubling", "--length", "64")) == 128
+    assert q(("census", "--seq", "thue-morse", "--width", "2", "--length", "1024")) == 1024
+    assert q(("eval", "--seq", "thue-morse", "--index", "10")) == 1
+    assert q(("hanoi", "solve", "--variant", "classical", "--disks", "5")) == 31
+    assert q(("hanoi", "solve", "--variant", "lazy", "--disks", "3")) == 13
+    assert q(("hanoi", "solve", "--variant", "cyclic", "--disks", "2")) == 7
+    assert q(("hanoi", "solve", "--variant", "cyclic", "--disks", "0")) == 0
 
 
 def test_reference_covers_every_request_the_mix_can_send(reference):
     pool = workloads.query_pool()
-    keys = {workloads.query_key(argv) for stratum in pool.values() for argv in stratum}
+    keys = {workloads.query_key(argv) for entries in pool.values() for argv in entries}
     assert keys == set(reference["point-queries"])
     assert set(reference["raised_at_seed"]) <= keys
 

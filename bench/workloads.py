@@ -11,7 +11,7 @@ with different seeds measure the same amount of work:
                     the classical sequence is rendered as text and censused.
 * ``oracle-checks`` fixed battery; the seed picks target pegs, one of two
                     equivalent presentations and the kernel sequence.
-* ``point-queries`` a stratified mix of short CLI requests: every stratum
+* ``point-queries`` a mix of short CLI requests: every request category
                     sends a fixed number of requests per pass, spread
                     evenly over its pool; the seed picks the extra copies
                     and the order.
@@ -287,18 +287,18 @@ COMPARE_PAIRS = (("classical-hanoi", "classical-hanoi-toeplitz"),
                  ("classical-hanoi", "lazy-hanoi"),
                  ("period-doubling", "thue-morse"))
 VARIANTS = ("classical", "cyclic", "lazy")
-HANOI_PATTERN = "a C b . c B a . b A c ."
 
-# Requests sent per pass by each stratum, in mix order.  The edge strata
-# make up 72 of 1792 requests (4.0%); "edge-disks0" alone is 24 (1.34%).
-PER_PASS = {
-    "generate-short": 300, "generate-mid": 200, "generate-long": 100,
-    "eval": 400,
-    "solve": 200, "solve-olive": 60, "solve-optimal": 40,
-    "census": 80, "derive": 120, "compare": 80, "christol-search": 40,
-    "other": 100,
-    "edge-unknown": 24, "edge-negative": 24, "edge-disks0": 24,
-}
+# Requests sent per pass.  Nothing measured says how often each command is
+# used, so the seven request categories get equal shares; the three edge
+# categories together make up 66 of 1606 requests (4.1%), and
+# "edge-disks0" alone is 22 (1.37%).
+PER_CATEGORY = 220
+PER_EDGE = 22
+CATEGORIES = ("generate", "eval", "solve", "census", "derive", "compare",
+              "christol-search")
+EDGE_CATEGORIES = ("edge-unknown", "edge-negative", "edge-disks0")
+PER_PASS = {**dict.fromkeys(CATEGORIES, PER_CATEGORY),
+            **dict.fromkeys(EDGE_CATEGORIES, PER_EDGE)}
 FORMATS = ((), ("--format", "json"))
 
 
@@ -308,26 +308,20 @@ def _eval_indices() -> list[int]:
 
 
 def query_pool() -> dict[str, list[tuple[str, ...]]]:
-    """Every request the mix can send, by stratum.  Fixed, independent of
+    """Every request the mix can send, by category.  Fixed, independent of
     the seed, so that the reference covers every mix."""
-    def generate(lengths):
-        return [("generate", name, "--length", str(n)) + fmt
-                for name in CATALOG_NAMES for n in lengths for fmt in FORMATS]
-
     pool = {
-        "generate-short": generate((1, 8, 16, 64)),
-        "generate-mid": generate((256, 512, 1000)),
-        "generate-long": generate((2048, 4096)),
+        "generate": [("generate", name, "--length", str(n)) + fmt
+                     for name in CATALOG_NAMES
+                     for n in (1, 8, 16, 64, 256, 512, 1000, 2048, 4096)
+                     for fmt in FORMATS],
         "eval": [("eval", "--seq", name, "--index", str(i)) + fmt
                  for name in EVAL_NAMES for i in _eval_indices() for fmt in FORMATS],
         "solve": [("hanoi", "solve", "--variant", v, "--disks", str(d)) + fmt
                   for v in VARIANTS for d in range(1, 8) for fmt in FORMATS],
-        "solve-olive": [("hanoi", "solve", "--disks", str(d), "--olive", "--target", t) + fmt
-                        for d in range(1, 8) for t in ("II", "III") for fmt in FORMATS],
-        "solve-optimal": [("hanoi", "solve", "--variant", v, "--disks", str(d),
-                           "--check-optimal") for v in VARIANTS for d in range(1, 7)],
-        "census": [("census", "--seq", name, "--width", str(w)) + aligned
-                   for name in CENSUS_NAMES for w in range(1, 5)
+        "census": [("census", "--seq", name, "--width", str(w), "--length", str(n))
+                   + aligned
+                   for name in CENSUS_NAMES for w in range(1, 5) for n in (1024, 4096)
                    for aligned in ((), ("--aligned",))],
         "derive": [("derive", "--what", what, "--length", str(n)) + check
                    for what in "TUVZ" for n in (64, 512, 2048)
@@ -341,23 +335,6 @@ def query_pool() -> dict[str, list[tuple[str, ...]]]:
                 "--order", str(n)) for c in (2, 3) for n in (128, 256)]
             + [("christol", "search", "--seq", "paperfolding", "--order", str(n))
                for n in (128, 256)]),
-        "other": (
-            [("squarefree", "--seq", name, "--length", str(n))
-             for name in ("classical-hanoi", "lazy-hanoi", "cyclic-hanoi")
-             for n in (64, 1024)]
-            + [("kernel", "--seq", name, "--depth", str(d), "--length", "1024")
-               for name in ("period-doubling", "thue-morse", "classical-hanoi")
-               for d in (3, 5)]
-            + [("construct-nonuniform", "--seq", name, "--validate", "256")
-               for name in UNIFORM_NAMES]
-            + [("christol", "verify", "--order", str(n)) for n in (256, 1024)]
-            + [("toeplitz", "--pattern", pattern, "--length", str(n), "--expect", name)
-               for pattern, name in ((HANOI_PATTERN, "classical-hanoi"),
-                                     ("0 . 1 .", "paperfolding"))
-               for n in (64, 512)]
-            + [("hanoi", "verify", "--disks", str(d)) for d in (4, 7, 10)]
-            + [("hanoi", "bfs", "--variant", v, "--disks", str(d), "--target", "III")
-               for v in VARIANTS for d in (3, 5)]),
         "edge-unknown": [("generate", "no-such-sequence", "--length", "8"),
                          ("eval", "--seq", "no-such-sequence", "--index", "3"),
                          ("census", "--seq", "no-such-sequence", "--width", "2"),
@@ -374,36 +351,61 @@ def query_pool() -> dict[str, list[tuple[str, ...]]]:
 
 
 def query_mix(seed: int) -> list[tuple[str, tuple[str, ...]]]:
-    """(stratum, argv) for every request of one pass, in sending order.
+    """(category, argv) for every request of one pass, in sending order.
 
-    Each stratum sends every request of its pool equally often, give or
+    Each category sends every request of its pool equally often, give or
     take one; the seed picks which requests get the extra copy, and the
     order.  So the work per pass barely depends on the seed."""
     rng = random.Random(f"point-queries/{seed}")
     mix = []
-    for stratum, entries in query_pool().items():
-        whole, extra = divmod(PER_PASS[stratum], len(entries))
-        mix += [(stratum, argv) for argv in entries * whole + rng.sample(entries, extra)]
+    for category, entries in query_pool().items():
+        whole, extra = divmod(PER_PASS[category], len(entries))
+        mix += [(category, argv) for argv in entries * whole + rng.sample(entries, extra)]
     rng.shuffle(mix)
     return mix
 
 
+def cyclic_optimal(disks: int) -> dict:
+    """Optimal cyclic (I->II->III->I) transfer lengths from the recurrence
+    Q_n = 2 R_{n-1} + 1 (one step along the cycle) and
+    R_n = 2 R_{n-1} + Q_{n-1} + 2 (two steps)."""
+    q = r = 0
+    for _ in range(disks):
+        q, r = 2 * r + 1, 2 * r + q + 2
+    return {"II": q, "III": r}
+
+
+def solve_moves(variant: str, disks: int) -> int:
+    """Computed length of the solution `hanoi solve` prints, which stops
+    where the variant's sequence first completes N disks: 2^N-1 moves
+    (classical); (3^N-1)/2, the transfer I->II (lazy); and for cyclic the
+    optimal transfer to peg III, or to II for one disk."""
+    if disks < 1:
+        return 0
+    if variant == "classical":
+        return 2 ** disks - 1
+    if variant == "lazy":
+        return (3 ** disks - 1) // 2
+    return cyclic_optimal(disks)["II" if disks == 1 else "III"]
+
+
 def query_symbols(argv) -> int:
-    """Computed number of sequence terms a request asks for: its --length,
-    --order or --validate; 2^N-1 for --disks N, whatever the variant; 1 for
-    eval --index; 0 otherwise."""
+    """Computed number of sequence terms a request asks for: the moves of
+    a `hanoi solve`, --length (twice for `compare`, two sequences), --order,
+    1 for `eval`, 0 for an invalid request."""
     args = dict(zip(argv, argv[1:]))
-    for flag in ("--length", "--order", "--validate"):
-        if flag in args:
-            return max(0, int(args[flag]))
-    if "--disks" in args:
-        return max(0, 2 ** int(args["--disks"]) - 1)
+    if argv[:2] == ("hanoi", "solve"):
+        return solve_moves(args["--variant"], int(args["--disks"]))
+    if "--length" in args:
+        return max(0, int(args["--length"])) * (2 if argv[0] == "compare" else 1)
+    if "--order" in args:
+        return int(args["--order"])
     return 1 if argv[0] == "eval" else 0
 
 
 def query_ops(seed: int, ref: dict) -> list[Op]:
-    return [cli_op(stratum, argv, ref[query_key(argv)], query_symbols(argv))
-            for stratum, argv in query_mix(seed)]
+    return [cli_op(category, argv, ref[query_key(argv)], query_symbols(argv))
+            for category, argv in query_mix(seed)]
 
 
 def build_ops(workload: str, seed: int, ref: dict) -> list[Op]:
