@@ -117,7 +117,8 @@ class Tally:
 
 def run_pass(ops, tally: Tally, spans=None) -> tuple[float, list[float]]:
     """Run every operation once, recording into the `spans` tracer if given.
-    Returns the pass wall time and the time of each operation's call."""
+    Returns the pass wall time and the process CPU time of each operation's
+    call, which leaves out the time the host kept the process off a CPU."""
     times = []
     start = time.perf_counter()
     root = spans.open(spans.name_id(f"{tracer.HARNESS}.pass")) if spans else None
@@ -125,16 +126,16 @@ def run_pass(ops, tally: Tally, spans=None) -> tuple[float, list[float]]:
         if spans:
             spans.request_id = k
             span = spans.open(spans.name_id(f"{tracer.HARNESS}.{op.category}"))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         try:
             result = op.call()
         except Exception as exc:  # a failed operation; the run goes on
-            times.append(time.perf_counter() - t0)
+            times.append(time.process_time() - t0)
             tally.raised += 1
             tally.note(op, f"raised {type(exc).__name__}: {exc}")
             result = exc
         else:
-            times.append(time.perf_counter() - t0)
+            times.append(time.process_time() - t0)
             try:
                 observed = op.observe(result)
             except Exception as exc:  # a result of the wrong shape is a mismatch
@@ -166,8 +167,9 @@ def keep_going(walls, started: float, seconds: float) -> bool:
 
 def end_to_end(ops, seconds: float, tally: Tally) -> tuple[dict, dict]:
     """Every pass replays the same operations.  wall_s is the median pass;
-    the request quantiles pool every operation of every pass, so a cost
-    that lands on a different request in each pass still counts."""
+    the request quantiles pool the CPU time of every operation of every
+    pass, so a cost that lands on a different request in each pass still
+    counts, while a stretch the host kept the process waiting does not."""
     setup, setup_n = setup_s()
     walls: list[float] = []
     latencies: list[float] = []
@@ -194,7 +196,7 @@ def end_to_end(ops, seconds: float, tally: Tally) -> tuple[dict, dict]:
     samples.update(setup_s=setup_n, req_p50_ms=len(latencies),
                    req_p99_ms=len(latencies), peak_rss_mb=1)
     context = {"samples": samples, "passes": len(walls),
-               "category_s": {c: t / len(walls) for c, t in by_category.items()}}
+               "category_cpu_s": {c: t / len(walls) for c, t in by_category.items()}}
     return values, context
 
 
