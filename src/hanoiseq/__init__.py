@@ -21,8 +21,7 @@ from .nonuniform import (Construction, ConstructionError, construct_nonuniform,
                          validation_failures, verify_fixed_point_equality)
 from .toeplitz import HOLE, NonConvergentError, ToeplitzSpec, fill_pass, toeplitz_expand
 from .words import (Alphabet, Coding, DomainError, Morphism, MorphicSpec,
-                    ProlongabilityError, Word, apply_coding, is_prolongable,
-                    iterate_fixed_point, morphism_apply, spec_from_json,
+                    ProlongabilityError, Word, is_prolongable, spec_from_json,
                     spec_to_json)
 
 __version__ = "0.1.0"

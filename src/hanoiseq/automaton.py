@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .words import Alphabet, MorphicSpec, Word
 
 
@@ -81,7 +83,7 @@ def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     if width is None or width < 2:
         raise NonUniformError("spec's morphism must be k-uniform with k >= 2")
     alphabet = spec.morphism.domain
-    transitions = tuple(img.indices for img in spec.morphism.images)
+    transitions = tuple(tuple(img.indices.tolist()) for img in spec.morphism.images)
     if spec.coding is not None:
         codomain = spec.coding.codomain.symbols
         output = tuple(codomain[t] for t in spec.coding.table)
@@ -133,7 +135,7 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
         raise ValueError("prefix must not be empty")
     seq = prefix.indices
     reps: list[tuple[int, int]] = []
-    rep_seqs: list[tuple[int, ...]] = []
+    rep_seqs: list[np.ndarray] = []
     overlaps: list[int] = []
     # a depth-d residue r can be as large as k^d - 1; a shorter prefix
     # cannot even place one term of every depth-level subsequence
@@ -142,13 +144,13 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
     while queue:
         e, r = queue.popleft()
         sub = seq[r::radix ** e]
-        if not sub:
+        if not len(sub):
             insufficient = True
             continue
         matched = False
-        for known, rep_seq in zip(reps, rep_seqs):
+        for rep_seq in rep_seqs:
             m = min(len(sub), len(rep_seq))
-            if sub[:m] == rep_seq[:m]:
+            if np.array_equal(sub[:m], rep_seq[:m]):
                 overlaps.append(m)
                 matched = True
                 break

@@ -22,9 +22,9 @@ BAR_PROJECTION = Coding.from_rules(
     {"a": "1", "b": "1", "c": "1", "A": "0", "B": "0", "C": "0"},
     codomain=BINARY_ALPHABET)
 
-_PLAIN = frozenset(HANOI_ALPHABET.index(s) for s in ("a", "b", "c"))
 _ZERO = BINARY_ALPHABET.index("0")
 _ONE = BINARY_ALPHABET.index("1")
+_PLAIN = np.array(BAR_PROJECTION.table) == _ONE
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,15 @@ class IntSequence:
     label: str = ""
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = self.values
+        values = tuple(values.tolist() if isinstance(values, np.ndarray)
+                       else map(int, values))
         object.__setattr__(self, "values", values)
         if values and min(values) < 0:
             raise ValueError("values must be non-negative")
 
     def text(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self.values))
 
     def to_json(self) -> list[int]:
         return list(self.values)
@@ -62,19 +64,13 @@ def derive_U(prefix: Word) -> IntSequence:
     """Running count of plain moves, the current term included."""
     if prefix.alphabet != HANOI_ALPHABET:
         raise DomainError("expected a word over the six-letter move alphabet")
-    total = 0
-    values = []
-    for i in prefix.indices:
-        if i in _PLAIN:
-            total += 1
-        values.append(total)
-    return IntSequence(tuple(values), "U")
+    return IntSequence(np.cumsum(_PLAIN.take(prefix.indices)), "U")
 
 
 def derive_V(u: IntSequence) -> Word:
     """U reduced modulo 2, as a binary word."""
-    return Word(BINARY_ALPHABET,
-                tuple(_ONE if v % 2 else _ZERO for v in u.values))
+    odd = np.array(u.values, dtype=np.int64) % 2 == 1
+    return Word._of(BINARY_ALPHABET, np.where(odd, _ONE, _ZERO))
 
 
 def derive_Z(binary_prefix: Word) -> IntSequence:
@@ -86,15 +82,9 @@ def derive_Z(binary_prefix: Word) -> IntSequence:
     if binary_prefix.alphabet != BINARY_ALPHABET:
         raise DomainError("expected a word over the binary alphabet")
     idx = binary_prefix.indices
-    if not idx or idx[0] != _ZERO:
+    if not len(idx) or idx[0] != _ZERO:
         raise ValueError("sequence must begin with 0")
-    gaps = []
-    last = 0
-    for pos in range(1, len(idx)):
-        if idx[pos] == _ZERO:
-            gaps.append(pos - last - 1)
-            last = pos
-    return IntSequence(tuple(gaps), "Z")
+    return IntSequence(np.diff(np.flatnonzero(idx == _ZERO)) - 1, "Z")
 
 
 def doublefree_oracle(n: int) -> int:

@@ -63,8 +63,7 @@ def cmd_generate(args) -> int:
 def cmd_compare(args) -> int:
     left = catalog_prefix(args.name_a, args.length)
     right = catalog_prefix(args.name_b, args.length)
-    tokens_a, tokens_b = left.tokens(), right.tokens()
-    mismatch = next((i for i in range(args.length) if tokens_a[i] != tokens_b[i]), None)
+    mismatch = left.first_mismatch(right)
     payload = {"name_a": args.name_a, "name_b": args.name_b,
                "length": args.length, "equal": mismatch is None,
                "first_mismatch": mismatch}
@@ -72,12 +71,14 @@ def cmd_compare(args) -> int:
         _emit(args, [f"equal on the first {args.length} symbols"], payload)
         return 0
     _emit(args, [f"first mismatch at index {mismatch}: "
-                 f"{tokens_a[mismatch]} vs {tokens_b[mismatch]}"], payload)
+                 f"{left[mismatch]} vs {right[mismatch]}"], payload)
     return 1
 
 
 def _sequence_solution(variant_name: str, disks: int):
     """Truncate the variant's catalog sequence at the first completion event."""
+    if disks < 1:
+        raise ValueError("disk count must be >= 1")
     variant = variant_by_name(variant_name)
     name = _SEQUENCE_FOR_VARIANT[variant_name]
     length = 256
@@ -351,7 +352,7 @@ def cmd_eval(args) -> int:
         payload["index"] = args.index
         payload["symbol"] = symbol
     if args.check_prefix:
-        prefix = catalog_prefix(args.seq, args.check_prefix)
+        prefix = catalog_prefix(args.seq, args.check_prefix).tokens()
         bad = next((n for n in range(args.check_prefix)
                     if dfao.eval(n) != prefix[n]), None)
         ok = bad is None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import HANOI_ALPHABET, catalog_lookup
 from .words import Word
@@ -382,12 +383,23 @@ def factor_census(word: Word, width: int, aligned: bool = False) -> set[Word]:
     if width < 1:
         raise ValueError("width must be >= 1")
     idx = word.indices
-    n = len(idx)
-    if width > n:
+    if width > len(idx):
         return set()
-    step = width if aligned else 1
-    blocks = {idx[i:i + width] for i in range(0, n - width + 1, step)}
-    return {Word(word.alphabet, b) for b in blocks}
+    windows = sliding_window_view(idx, width)[::width if aligned else 1]
+    radix = len(word.alphabet.symbols)
+    if radix ** width <= 2 ** 63:
+        # each block packed into one integer, its letters as base-radix digits
+        packed = np.zeros(len(windows), dtype=np.uint64)
+        for col in range(width):
+            packed *= np.uint64(radix)
+            packed += windows[:, col]
+        packed.sort()
+        distinct = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
+        digits = np.uint64(radix) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+        blocks = distinct[:, None] // digits % np.uint64(radix)
+    else:
+        blocks = np.unique(windows, axis=0)
+    return {Word._of(word.alphabet, block) for block in blocks}
 
 
 def squarefree_check(word: Word, max_period: int) -> Optional[tuple[int, int]]:
@@ -406,7 +418,7 @@ def squarefree_check(word: Word, max_period: int) -> Optional[tuple[int, int]]:
             "periods <= 64 up to 10^6 symbols")
     if n < 2:
         return None
-    arr = np.array(word.indices, dtype=np.int64)
+    arr = word.indices
     best: Optional[tuple[int, int]] = None
     for period in range(1, min(max_period, n // 2) + 1):
         mismatch = np.flatnonzero(arr[:-period] != arr[period:])

@@ -17,6 +17,9 @@ on finite prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from .words import (Alphabet, Coding, DomainError, Morphism, MorphicSpec,
                     ProlongabilityError, Word, is_prolongable, spec_to_json)
@@ -40,7 +43,7 @@ def _reachable(m: Morphism, start: str) -> set[int]:
     while frontier:
         fresh = []
         for i in frontier:
-            for j in m.images[i].indices:
+            for j in m.images[i].indices.tolist():
                 if j not in seen:
                     seen.add(j)
                     fresh.append(j)
@@ -65,8 +68,7 @@ def find_expanding_letter(m: Morphism, start: str) -> tuple[str, int]:
     current = m
     for power in range(1, bound + 1):
         for i in candidates:
-            img = current.images[i].indices
-            if img.count(i) >= 2:
+            if np.count_nonzero(current.images[i].indices == i) >= 2:
                 return m.domain.symbols[i], power
         current = Morphism(m.domain, m.codomain,
                            tuple(current.apply(img) for img in m.images))
@@ -179,7 +181,7 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     b_idx = domain.index(letter)
     interior = None
     for _ in range(3):
-        image = g.images[b_idx].indices
+        image = g.images[b_idx].indices.tolist()
         for i in range(1, len(image) - 2):
             if image[i] == b_idx:
                 interior = i
@@ -195,7 +197,7 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     companion = domain.symbols[c_idx]
     w1 = Word(domain, image[:interior])
     w2 = Word(domain, image[interior + 2:])
-    glued = image + g.images[c_idx].indices  # w1 b c w3
+    glued = image + g.images[c_idx].indices.tolist()  # w1 b c w3
     w3 = Word(domain, glued[interior + 2:])
     z = Word(domain, glued[:1])
     t = Word(domain, glued[1:])
@@ -210,7 +212,7 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     for i in range(len(domain.symbols)):
         if i == b_idx:
             images.append(Word(extended,
-                               image[:interior] + (b_new_idx, c_new_idx)
+                               image[:interior] + [b_new_idx, c_new_idx]
                                + image[interior + 2:]))
         else:
             # old indices stay valid: the extension appends new symbols
@@ -242,27 +244,44 @@ def validation_failures(construction: Construction, length: int) -> list[str]:
     primed = MorphicSpec(construction.morphism, construction.start).pure_prefix(length)
     coded = construction.coding.apply(primed)
     base = MorphicSpec(construction.effective, construction.start).pure_prefix(length)
-    if coded != base:
-        at = next(i for i in range(length)
-                  if coded.indices[i] != base.indices[i])
+    at = coded.first_mismatch(base)
+    if at is not None:
         failures.append(f"coded fixed point disagrees with the source at index {at}")
-    ell = construction.block_length
-    for j in range(len(primed) // ell):
-        block = primed[j * ell:(j + 1) * ell]
-        left = construction.coding.apply(construction.morphism.apply(block))
-        right = construction.effective.apply(construction.coding.apply(block))
-        if left != right:
-            failures.append(f"coding does not commute with the morphisms on block {j}")
-            break
+    bad_block = _first_noncommuting_block(construction, primed)
+    if bad_block is not None:
+        failures.append(f"coding does not commute with the morphisms on block {bad_block}")
     bp = construction.morphism.domain.index(construction.primed_expanding)
     cp = construction.morphism.domain.index(construction.primed_companion)
     indices = primed.indices
-    for pos, i in enumerate(indices[:-1]):
-        if i == bp and indices[pos + 1] != cp:
-            failures.append(
-                f"primed expanding letter at index {pos} is not followed by its companion")
-            break
+    stray = np.flatnonzero((indices[:-1] == bp) & (indices[1:] != cp))
+    if stray.size:
+        failures.append(
+            f"primed expanding letter at index {stray[0]} is not followed by its companion")
     return failures
+
+
+def _first_noncommuting_block(construction: Construction, primed: Word) -> Optional[int]:
+    """First full block j of the word on which coding-after-morphism and
+    effective-after-coding give different images, or None.
+
+    Both sides are morphic images, so the images of all full blocks are
+    computed at once and cut at the block boundaries; while the image
+    lengths of the blocks agree, the boundaries of both sides line up.
+    """
+    ell = construction.block_length
+    blocks = primed[:len(primed) // ell * ell]
+    left = construction.coding.apply(construction.morphism.apply(blocks)).indices
+    right = construction.effective.apply(construction.coding.apply(blocks)).indices
+    sizes = construction.morphism._lengths.take(blocks.indices).reshape(-1, ell).sum(axis=1)
+    uneven = np.flatnonzero(sizes != ell * construction.effective.uniform_width)
+    # blocks before the first uneven one start at the same offset on both sides
+    aligned = int(uneven[0]) if uneven.size else len(sizes)
+    ends = np.cumsum(sizes[:aligned])
+    end = int(ends[-1]) if aligned else 0
+    differ = np.flatnonzero(left[:end] != right[:end])
+    if differ.size:
+        return int(np.searchsorted(ends, differ[0], side="right"))
+    return aligned if uneven.size else None
 
 
 def validate_construction(construction: Construction, length: int) -> bool:

@@ -5,18 +5,21 @@ written ``.``.  Repeating the block forever and replacing the stream of
 holes, in order, by the sequence under construction itself pins down a
 unique hole-free limit, provided the block does not begin with a hole.
 
-``toeplitz_expand`` computes limit prefixes positionally: the j-th hole
-of the periodic stream carries the value of position j of the limit,
-and j is always strictly smaller than the hole's own position, so one
-ascending pass suffices.  ``fill_pass`` performs a single filling step
-on a finite prefix, holes included, for inspecting the intermediate
-stages of the construction.
+``toeplitz_expand`` computes limit prefixes level by level: the j-th
+hole of the periodic stream carries the value of position j of the
+limit, and j is always strictly smaller than the hole's own position, so
+the holes of a length-n prefix are filled, in one array assignment, by
+the shorter prefix holding as many symbols as there are holes.
+``fill_pass`` performs a single filling step on a finite prefix, holes
+included, for inspecting the intermediate stages of the construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .words import Alphabet, DomainError, TokenSeq, Word, _tokens
 
@@ -78,20 +81,23 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
         raise ValueError("length must be >= 0")
     alphabet = spec.alphabet
     period = len(spec.pattern)
-    cells = [-1 if t == spec.hole else alphabet.index(t) for t in spec.pattern]
-    holes_before = [0] * (period + 1)
-    for r, v in enumerate(cells):
-        holes_before[r + 1] = holes_before[r] + (v < 0)
-    per_period = holes_before[period]
-    out: list[int] = []
-    for i in range(length):
-        r = i % period
-        v = cells[r]
-        if v < 0:
-            # rank of this hole in the stream; < i since position 0 is a symbol
-            v = out[(i // period) * per_period + holes_before[r]]
-        out.append(v)
-    return Word(alphabet, tuple(out))
+    is_hole = np.array([t == spec.hole for t in spec.pattern])
+    cells = np.array([0 if t == spec.hole else alphabet.index(t) for t in spec.pattern],
+                     dtype=alphabet.dtype)
+    holes_before = np.concatenate(([0], np.cumsum(is_hole)))
+    # the holes of a length-n prefix take the first holes(n) < n symbols
+    # of the limit, so the prefix lengths shrink level by level down to 0
+    lengths = [length]
+    while lengths[-1]:
+        n = lengths[-1]
+        lengths.append(int((n // period) * holes_before[period] + holes_before[n % period]))
+    out = np.empty(0, dtype=alphabet.dtype)
+    for n in reversed(lengths[:-1]):
+        periods = -(-n // period)
+        level = np.tile(cells, periods)[:n]
+        level[np.tile(is_hole, periods)[:n]] = out
+        out = level
+    return Word._of(alphabet, out)
 
 
 def fill_pass(tokens: TokenSeq, hole: str = HOLE) -> tuple[str, ...]:

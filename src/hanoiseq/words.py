@@ -1,26 +1,30 @@
 """Alphabets, words, morphisms, codings and iterative fixed points.
 
-Words are immutable sequences of symbol indices over a fixed alphabet.
-Symbols are arbitrary text tokens; barred letters are written as the
-matching uppercase token, so the bar of ``a`` is ``A`` and ``a C b a``
-reads "a, c-bar, b, a".  A morphism sends every symbol of its domain
-alphabet to a word over its codomain alphabet and extends to words by
-concatenating the images.  A coding is the symbol-to-symbol case.
+Words are immutable sequences of symbol indices over a fixed alphabet,
+stored as one read-only numpy array of the smallest unsigned dtype that
+holds the alphabet (``uint8`` up to 256 symbols).  Equality and hashing
+are by value, and ``Word + Word`` concatenates.  Symbols are arbitrary
+text tokens; barred letters are written as the matching uppercase token,
+so the bar of ``a`` is ``A`` and ``a C b a`` reads "a, c-bar, b, a".  A
+morphism sends every symbol of its domain alphabet to a word over its
+codomain alphabet and extends to words by concatenating the images.  A
+coding is the symbol-to-symbol case.
 
 A morphism whose image of a chosen start symbol begins with that symbol
 (and whose remainder never dies out under iteration) has a unique
 infinite fixed point starting there.  MorphicSpec bundles the morphism,
 the start symbol and an optional output coding; its ``prefix`` method
 materializes finite prefixes of the (coded) fixed point by repeated
-re-expansion, truncating eagerly so memory stays proportional to the
-requested length.
+re-expansion, each level a whole-array gather of the previous one,
+truncated to the letters the requested length needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Mapping, Optional, Union
+
+import numpy as np
 
 TokenSeq = Union[str, Iterable[str]]
 
@@ -39,12 +43,39 @@ def _tokens(spec: TokenSeq) -> tuple[str, ...]:
     return tuple(spec)
 
 
+def _padded(rows: list[np.ndarray], dtype) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Rows stacked into one zero-padded table, plus the mask of the real
+    cells (None when all rows have the same length)."""
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    width = int(lengths.max())
+    table = np.zeros((len(rows), width), dtype=dtype)
+    for i, row in enumerate(rows):
+        table[i, :len(row)] = row
+    if (lengths == width).all():
+        return table, None
+    return table, np.arange(width) < lengths[:, None]
+
+
+def _concat_rows(table: np.ndarray, mask: Optional[np.ndarray],
+                 letters: np.ndarray) -> np.ndarray:
+    """The table rows of the letters, concatenated, padding dropped."""
+    rows = table.take(letters, axis=0).ravel()
+    return rows if mask is None else rows.compress(mask.take(letters, axis=0).ravel())
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered collection of distinct symbol tokens."""
+    """Ordered collection of distinct symbol tokens.
+
+    ``dtype`` is the smallest unsigned integer type that holds every
+    symbol index; words over the alphabet store their indices in it.
+    """
 
     symbols: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    dtype: np.dtype = field(init=False, repr=False, compare=False)
+    _objects: np.ndarray = field(init=False, repr=False, compare=False)
+    _text: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         symbols = _tokens(self.symbols)
@@ -59,6 +90,11 @@ class Alphabet:
                 raise ValueError(f"duplicate symbol {sym!r}")
             index[sym] = pos
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "dtype", np.min_scalar_type(len(symbols) - 1))
+        object.__setattr__(self, "_objects", np.array(symbols, dtype=object))
+        # each symbol's UTF-8 bytes plus the separating space, for text()
+        encoded = [np.frombuffer(s.encode() + b" ", dtype=np.uint8) for s in symbols]
+        object.__setattr__(self, "_text", _padded(encoded, np.uint8))
 
     def index(self, symbol: str) -> int:
         try:
@@ -78,55 +114,98 @@ class Alphabet:
         return symbol in self._index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Word:
-    """Finite sequence of symbol indices over an alphabet (may be empty)."""
+    """Finite sequence of symbol indices over an alphabet (may be empty).
+
+    ``indices`` is a read-only numpy array of ``alphabet.dtype``.  Indices
+    given from outside (a tuple, list or array) are range-checked before
+    they are cast, so a negative or too-large index raises DomainError
+    instead of wrapping around.
+    """
 
     alphabet: Alphabet
-    indices: tuple[int, ...] = ()
+    indices: np.ndarray = ()
 
     def __post_init__(self):
-        indices = tuple(self.indices)
-        object.__setattr__(self, "indices", indices)
-        if indices and not (0 <= min(indices) and max(indices) < len(self.alphabet.symbols)):
+        indices = self.indices
+        n = len(self.alphabet.symbols)
+        if isinstance(indices, np.ndarray):
+            bad = indices.size and (indices.min() < 0 or indices.max() >= n)
+        else:
+            indices = tuple(indices)
+            bad = indices and (min(indices) < 0 or max(indices) >= n)
+        if bad:
             raise DomainError("word index out of range for its alphabet")
+        array = np.array(indices, dtype=self.alphabet.dtype)
+        array.flags.writeable = False
+        object.__setattr__(self, "indices", array)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, indices: np.ndarray) -> "Word":
+        # trusted indices (computed from words over the same alphabet): no rescan
+        word = object.__new__(cls)
+        indices = np.asarray(indices, dtype=alphabet.dtype)
+        indices.flags.writeable = False
+        object.__setattr__(word, "alphabet", alphabet)
+        object.__setattr__(word, "indices", indices)
+        return word
 
     @classmethod
     def from_tokens(cls, alphabet: Alphabet, tokens: TokenSeq) -> "Word":
-        return cls(alphabet, tuple(alphabet.index(t) for t in _tokens(tokens)))
+        return cls._of(alphabet, np.array([alphabet.index(t) for t in _tokens(tokens)],
+                                          dtype=alphabet.dtype))
 
     def tokens(self) -> tuple[str, ...]:
-        symbols = self.alphabet.symbols
-        return tuple(symbols[i] for i in self.indices)
+        return tuple(self.alphabet._objects.take(self.indices).tolist())
 
     def text(self) -> str:
-        return " ".join(self.tokens())
+        table, mask = self.alphabet._text
+        return _concat_rows(table, mask, self.indices).tobytes()[:-1].decode()
 
     def support(self) -> tuple[str, ...]:
         """Symbols that actually occur, in alphabet order."""
-        used = set(self.indices)
-        return tuple(s for i, s in enumerate(self.alphabet.symbols) if i in used)
+        used = np.bincount(self.indices, minlength=len(self.alphabet.symbols))
+        return tuple(s for s, count in zip(self.alphabet.symbols, used) if count)
 
     def startswith(self, other: "Word") -> bool:
-        return (self.alphabet == other.alphabet
-                and self.indices[: len(other.indices)] == other.indices)
+        return (self.alphabet == other.alphabet and len(other) <= len(self)
+                and np.array_equal(self.indices[:len(other)], other.indices))
+
+    def first_mismatch(self, other: "Word") -> Optional[int]:
+        """First index below both lengths where the two words spell
+        different tokens, or None; the alphabets may differ."""
+        n = min(len(self), len(other))
+        # other's symbols as indices into self's alphabet, -1 if absent
+        lookup = np.array([self.alphabet._index.get(s, -1)
+                           for s in other.alphabet.symbols], dtype=np.int64)
+        differ = np.flatnonzero(self.indices[:n] != lookup.take(other.indices[:n]))
+        return int(differ[0]) if differ.size else None
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return Word(self.alphabet, self.indices[key])
-        return self.alphabet.symbols[self.indices[key]]
+            return Word._of(self.alphabet, self.indices[key])
+        return self.alphabet.symbols[self.indices.item(key)]
 
     def __iter__(self):
-        symbols = self.alphabet.symbols
-        return (symbols[i] for i in self.indices)
+        return iter(self.tokens())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return (self.alphabet == other.alphabet
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.indices.tobytes()))
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise DomainError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.indices + other.indices)
+        return Word._of(self.alphabet, np.concatenate((self.indices, other.indices)))
 
 
 @dataclass(frozen=True)
@@ -136,6 +215,11 @@ class Morphism:
     domain: Alphabet
     codomain: Alphabet
     images: tuple[Word, ...]
+    # images as one zero-padded table of codomain indices, with the mask of
+    # real cells (None when the morphism is uniform), and the image lengths
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _mask: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -145,6 +229,11 @@ class Morphism:
         for img in images:
             if img.alphabet != self.codomain:
                 raise DomainError("image word is not over the codomain alphabet")
+        table, mask = _padded([img.indices for img in images], self.codomain.dtype)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_lengths",
+                           np.array([len(img) for img in images], dtype=np.int64))
 
     @classmethod
     def from_rules(cls, domain: Alphabet, rules: Mapping[str, TokenSeq],
@@ -163,22 +252,22 @@ class Morphism:
     def image(self, symbol: str) -> Word:
         return self.images[self.domain.index(symbol)]
 
+    def _expand(self, letters: np.ndarray) -> np.ndarray:
+        return _concat_rows(self._table, self._mask, letters)
+
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.domain:
             raise DomainError("word is not over this morphism's domain alphabet")
-        images = self.images
-        glued = chain.from_iterable(images[i].indices for i in word.indices)
-        return Word(self.codomain, tuple(glued))
+        return Word._of(self.codomain, self._expand(word.indices))
 
     @property
     def uniform_width(self) -> Optional[int]:
         """Common image length k when the morphism is k-uniform, else None."""
-        widths = {len(img.indices) for img in self.images}
-        return widths.pop() if len(widths) == 1 else None
+        return self._table.shape[1] if self._mask is None else None
 
     @property
     def is_erasing(self) -> bool:
-        return any(not img.indices for img in self.images)
+        return not self._lengths.all()
 
     def power(self, n: int) -> "Morphism":
         """n-fold composition of an endomorphism with itself."""
@@ -200,6 +289,7 @@ class Coding:
     domain: Alphabet
     codomain: Alphabet
     table: tuple[int, ...]
+    _lookup: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = tuple(self.table)
@@ -208,6 +298,7 @@ class Coding:
             raise ValueError("exactly one image symbol per domain symbol required")
         if table and not (0 <= min(table) and max(table) < len(self.codomain.symbols)):
             raise DomainError("coding image out of range for the codomain")
+        object.__setattr__(self, "_lookup", np.array(table, dtype=self.codomain.dtype))
 
     @classmethod
     def from_rules(cls, domain: Alphabet, mapping: Mapping[str, str],
@@ -234,8 +325,7 @@ class Coding:
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.domain:
             raise DomainError("word is not over this coding's domain alphabet")
-        table = self.table
-        return Word(self.codomain, tuple(table[i] for i in word.indices))
+        return Word._of(self.codomain, self._lookup.take(word.indices))
 
     def as_morphism(self) -> Morphism:
         return Morphism(self.domain, self.codomain,
@@ -244,7 +334,7 @@ class Coding:
 
 def _mortal_letters(m: Morphism) -> frozenset[int]:
     # letters whose iterated image eventually becomes the empty word
-    images = [img.indices for img in m.images]
+    images = [img.indices.tolist() for img in m.images]
     mortal = {i for i, img in enumerate(images) if not img}
     changed = True
     while changed:
@@ -262,7 +352,7 @@ def is_prolongable(m: Morphism, start: str) -> bool:
     if m.domain != m.codomain:
         raise DomainError("prolongability needs domain == codomain")
     i0 = m.domain.index(start)
-    img = m.images[i0].indices
+    img = m.images[i0].indices.tolist()
     if len(img) < 2 or img[0] != i0:
         return False
     mortal = _mortal_letters(m)
@@ -304,38 +394,24 @@ class MorphicSpec:
         """Length-`length` prefix of the uncoded fixed point."""
         if length < 0:
             raise ValueError("length must be >= 0")
-        alphabet = self.morphism.domain
-        if length == 0:
-            return Word(alphabet, ())
-        images = [img.indices for img in self.morphism.images]
-        current = [alphabet.index(self.start)]
+        m = self.morphism
+        alphabet = m.domain
+        width = m.uniform_width
+        # each level is the image of the previous one, hence a longer
+        # prefix of the fixed point; only the letters whose images reach
+        # `length` symbols are expanded
+        current = np.array([alphabet.index(self.start)], dtype=alphabet.dtype)
         while len(current) < length:
-            grown: list[int] = []
-            for i in current:
-                grown.extend(images[i])
-                if len(grown) >= length:
-                    break
-            current = grown
-        return Word(alphabet, tuple(current[:length]))
+            if width:
+                need = -(-length // width)
+            else:
+                need = int(np.searchsorted(np.cumsum(m._lengths.take(current)), length)) + 1
+            current = m._expand(current[:need])
+        return Word._of(alphabet, current[:length])
 
     def prefix(self, length: int) -> Word:
         word = self.pure_prefix(length)
         return self.coding.apply(word) if self.coding else word
-
-
-def morphism_apply(m: Morphism, word: Word) -> Word:
-    """Image of a word: the images of its letters concatenated in order."""
-    return m.apply(word)
-
-
-def apply_coding(coding: Coding, word: Word) -> Word:
-    """Length-preserving symbol-by-symbol image."""
-    return coding.apply(word)
-
-
-def iterate_fixed_point(spec: MorphicSpec, length: int) -> Word:
-    """Length-`length` prefix of the spec's (coded) fixed point."""
-    return spec.prefix(length)
 
 
 def spec_to_json(spec: MorphicSpec) -> dict:

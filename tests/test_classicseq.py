@@ -45,7 +45,7 @@ class TestDeriveU:
 
     def test_summatory_of_T(self):
         word = catalog_prefix("classical-hanoi", 2000)
-        t = derive_T(word).indices
+        t = derive_T(word).indices.tolist()
         u = derive_U(word).values
         total = 0
         for i, bit in enumerate(t):

@@ -87,6 +87,16 @@ class TestHanoi:
         assert run(["hanoi", "solve", "--variant", "lazy", "--disks", "2",
                     "--olive"]) == 2
 
+    @pytest.mark.parametrize("variant", ["classical", "cyclic", "lazy"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("disks", ["0", "-1"])
+    def test_solve_needs_a_disk(self, variant, fmt, disks, capsys):
+        assert run(["hanoi", "solve", "--variant", variant, "--disks", disks,
+                    "--format", fmt]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "error: disk count must be >= 1\n"
+
     def test_bfs(self, capsys):
         assert run(["hanoi", "bfs", "--variant", "classical", "--disks", "4",
                     "--target", "III"]) == 0
@@ -102,6 +112,23 @@ class TestToeplitz:
     def test_expansion_mismatch(self, capsys):
         assert run(["toeplitz", "--pattern", "0 . 1 .",
                     "--length", "16", "--expect", "thue-morse"]) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_large_alphabet_pattern(self, fmt, capsys):
+        # 300 distinct symbols: indices beyond 255 must survive expansion
+        pattern = [tok for i in range(300) for tok in (f"t{i}", ".")]
+        assert run(["toeplitz", "--pattern", " ".join(pattern), "--length", "2000",
+                    "--format", fmt]) == 0
+        out, _ = out_of(capsys)
+        tokens = json.loads(out)["tokens"] if fmt == "json" else out.split()
+        expected = []
+        for i in range(2000):
+            tok = pattern[i % len(pattern)]
+            if tok == ".":
+                tok = expected[(i // len(pattern)) * 300 + (i % len(pattern)) // 2]
+            expected.append(tok)
+        assert tokens == expected
+        assert "t299" in tokens
 
     def test_bad_pattern_is_usage_error(self, capsys):
         assert run(["toeplitz", "--pattern", ". 0 1", "--length", "4"]) == 2

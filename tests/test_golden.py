@@ -1,0 +1,98 @@
+"""Byte-identity guard: the sha256 of stdout (and the exit code) of fixed
+CLI requests, pinned so that a change to how words are stored, expanded or
+rendered cannot alter what the CLI prints.
+
+The digests were recorded before the array-backed word storage replaced
+tuple-backed words; update one only for a deliberate change of output.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from hanoiseq.cli import run
+
+# (argv, exit code, sha256 of stdout): every catalog entry rendered as text
+# and JSON, the four projections with their checks, width-4 censuses, the
+# benchmark's six comparison pairs and the README examples
+GOLDEN = [
+    ('generate classical-hanoi --length 1000', 0, "39bd39318e7a7c9b182a4f5b2f0fbcc5e3883e14053e66404792daf388f450a8"),
+    ('generate classical-hanoi --length 1000 --format json', 0, "f4a6684f59d513a2596243291524a276cccb4d5ad085d9cf32389dcee8c2fd72"),
+    ('generate classical-hanoi-nonuniform --length 1000', 0, "39bd39318e7a7c9b182a4f5b2f0fbcc5e3883e14053e66404792daf388f450a8"),
+    ('generate classical-hanoi-nonuniform --length 1000 --format json', 0, "d56c78e34b32c0c34c5ef1945b87efbdd9285920e56f50cbdf19880bf4d744fd"),
+    ('generate classical-hanoi-toeplitz --length 1000', 0, "39bd39318e7a7c9b182a4f5b2f0fbcc5e3883e14053e66404792daf388f450a8"),
+    ('generate classical-hanoi-toeplitz --length 1000 --format json', 0, "29b5266bb77ded188173708a53db90dc11f2cea94f7d2483a2d8e036dbfab0b7"),
+    ('generate cyclic-hanoi --length 1000', 0, "42a3f5c797943fd9738a05d83d17dcab7479ad7a026f4baedc803b58122b3b51"),
+    ('generate cyclic-hanoi --length 1000 --format json', 0, "66e2c2ef6eef7d0472ae4c643502e99430d95f545a986d12e6faa63230a003d9"),
+    ('generate fibonacci --length 1000', 0, "385a1c73b2391aaf3b0844dc4e7e2aebdb2de44c967d5793ee412cbec713f50f"),
+    ('generate fibonacci --length 1000 --format json', 0, "78b465fb897b67cec3071fd57d48eead99b5e833d54ea23ea91fe7eadc7b6f1f"),
+    ('generate lazy-hanoi --length 1000', 0, "158e0fd25cdecbaacee9dc25a7e69411386ee93b01e971e14bda2aebc4b33f41"),
+    ('generate lazy-hanoi --length 1000 --format json', 0, "d56d7ba2c91ac4c90c07cabc538b8a8628588b0e804359e9fd5524ef11af42f1"),
+    ('generate lazy-hanoi-nonuniform --length 1000', 0, "158e0fd25cdecbaacee9dc25a7e69411386ee93b01e971e14bda2aebc4b33f41"),
+    ('generate lazy-hanoi-nonuniform --length 1000 --format json', 0, "8d6f7d1c4ee12226adb39de39766361d606c31288fb3e613063c3142e8e06b80"),
+    ('generate paperfolding --length 1000', 0, "5ca14f91f5941f3c2a08fd0d0d8c5133916f2730de9bd5db51134c62258b052e"),
+    ('generate paperfolding --length 1000 --format json', 0, "d75c3f8a2b5a199e986c93144d14f501f51b7be6a017a6dd45e51e6f65e23c71"),
+    ('generate period-doubling --length 1000', 0, "3fbc986c0bd43f516e0fc8bc0dd76882d430b3627061e6cd64273477dba0027f"),
+    ('generate period-doubling --length 1000 --format json', 0, "0444b438a8b857be41304183583ed483cf2018ce73fdd16c9d21bc5b2adb2337"),
+    ('generate thue-morse --length 1000', 0, "2a1f585dbf9aea0407ad4b7f8330d43e632ad1b91b81f2cfa1f1ffbe9eaf9c18"),
+    ('generate thue-morse --length 1000 --format json', 0, "8f2ebecf8654ad64f4607fd35cb6e7c7033f1c9896166b1cc23b23876f33b2b0"),
+    ('generate z-nonuniform --length 1000', 0, "6ec93e345646c7b36189226ebd1ca4f982c53df118dc68828b5f0f9e4bb70dc0"),
+    ('generate z-nonuniform --length 1000 --format json', 0, "6224a65b4b7b0cfd2d310582a79057b2b32adecaad1c2318b1f22226959d017a"),
+    ('generate z-uniform --length 1000', 0, "6ec93e345646c7b36189226ebd1ca4f982c53df118dc68828b5f0f9e4bb70dc0"),
+    ('generate z-uniform --length 1000 --format json', 0, "92bb741dd1c032f686973d128025f110e151cd3c7ced06d94e134a5661dfadb4"),
+    ('derive --what T --length 2048 --check', 0, "ff938cb60069ee71b9a0c089f8d0aa3939d18412cf2d2b41525516210d8f00d4"),
+    ('derive --what T --length 2048 --check --format json', 0, "14da623b47b587ee1cf598c2209f727b30566fb880330205be5ddc91e7f88f13"),
+    ('derive --what U --length 2048 --check', 0, "fdb85fe3659de4f99439d3c6c9f5d0698027b8f115919c5c4ed775a85eb9098f"),
+    ('derive --what U --length 2048 --check --format json', 0, "5a371e8c0da950e4cdbf955ca2af3909dde14da0c0f69f11f10d772d469c20cd"),
+    ('derive --what V --length 2048 --check', 0, "086121e5417108a03c1bb0cdc0edaa446e28d8fb1d1325d767b8dd915046ea27"),
+    ('derive --what V --length 2048 --check --format json', 0, "6d95d90634e42267548ad210ec1f9eee215006ec9069e1ad2a6d0396cd403340"),
+    ('derive --what Z --length 2048 --check', 0, "d004e1cb2102805bdad98dbe69c7f42e56db5c9be7ce660569285491b3dc6169"),
+    ('derive --what Z --length 2048 --check --format json', 0, "6f8ed268a7e2879840e8b44ea3ad6ef0c35536a821a290bc76f589f463c4c28c"),
+    ('census --seq classical-hanoi --width 4 --length 4096', 0, "8d036c09ddabf80331d2beecd4d3c98810a5dea6247011fb50f27acebab5550c"),
+    ('census --seq classical-hanoi-nonuniform --width 4 --length 4096', 0, "8d036c09ddabf80331d2beecd4d3c98810a5dea6247011fb50f27acebab5550c"),
+    ('census --seq classical-hanoi-toeplitz --width 4 --length 4096', 0, "8d036c09ddabf80331d2beecd4d3c98810a5dea6247011fb50f27acebab5550c"),
+    ('census --seq cyclic-hanoi --width 4 --length 4096', 0, "b3dbe08a4bdb18796e8b47c15f9b95d53fa7e343aeae95e5e270b34f28243940"),
+    ('census --seq fibonacci --width 4 --length 4096', 0, "bcda71f376fb6affe4cec77bf4badbdab7e314506f9ac5fe6e0882cef268fe0c"),
+    ('census --seq lazy-hanoi --width 4 --length 4096', 0, "c41e87d7e37fa4245023bff338b63d04167a52c002a78c96b75c4e88c6129560"),
+    ('census --seq lazy-hanoi-nonuniform --width 4 --length 4096', 0, "c41e87d7e37fa4245023bff338b63d04167a52c002a78c96b75c4e88c6129560"),
+    ('census --seq paperfolding --width 4 --length 4096', 0, "6ae9008300fc809e07afe0d670efb2c3fd79923dd2fffe275f8207bbf405da97"),
+    ('census --seq period-doubling --width 4 --length 4096', 0, "747787dafc97b0784f39f196b97605c7b1c7d261d3f8d8ae7095524636310d84"),
+    ('census --seq thue-morse --width 4 --length 4096', 0, "504aa0ac9905aa2603f2c09ea247afb9c3f0b0a65659662ca9e5e2c97d197741"),
+    ('census --seq z-nonuniform --width 4 --length 4096', 0, "42e8ab058905bdf87995865f6bf29e720795cd2546e6a42a1a957f6673577c8a"),
+    ('census --seq z-uniform --width 4 --length 4096', 0, "42e8ab058905bdf87995865f6bf29e720795cd2546e6a42a1a957f6673577c8a"),
+    ('compare classical-hanoi classical-hanoi-toeplitz --length 4096', 0, "5832e417ad353aee4b49036fa71600c0d728aac1bacc522a853cb09b843eef7a"),
+    ('compare classical-hanoi classical-hanoi-toeplitz --length 4096 --format json', 0, "c97118a7a416f4b952a7dc808317a795489aa34f384bc06e241b09735f051801"),
+    ('compare classical-hanoi classical-hanoi-nonuniform --length 4096', 0, "5832e417ad353aee4b49036fa71600c0d728aac1bacc522a853cb09b843eef7a"),
+    ('compare classical-hanoi classical-hanoi-nonuniform --length 4096 --format json', 0, "59c3242ded6c361851e77578c8afd03592cd30d168c99d73b57f6a804238d69d"),
+    ('compare lazy-hanoi lazy-hanoi-nonuniform --length 4096', 0, "5832e417ad353aee4b49036fa71600c0d728aac1bacc522a853cb09b843eef7a"),
+    ('compare lazy-hanoi lazy-hanoi-nonuniform --length 4096 --format json', 0, "607987dc95002cc4d248808f5678beaa1adfb3efeb8779246a017e0de070ab13"),
+    ('compare z-nonuniform z-uniform --length 4096', 0, "5832e417ad353aee4b49036fa71600c0d728aac1bacc522a853cb09b843eef7a"),
+    ('compare z-nonuniform z-uniform --length 4096 --format json', 0, "9e1d68ad1cdc2cb0872a3e9c49826fc686b533342fb3b598e4921125e0332e24"),
+    ('compare classical-hanoi lazy-hanoi --length 4096', 1, "70b4613bacc997d8c75b5aedc55bd226ab2fb0ba24b2a88012e4e58fa05e443e"),
+    ('compare classical-hanoi lazy-hanoi --length 4096 --format json', 1, "3b75a2cfc9d1a8d0f206e637f2b1b321a2408570781a61fa32bbd54fcd8be0d6"),
+    ('compare period-doubling thue-morse --length 4096', 1, "2d01234fae29fcf74c59fac94820b1155cd906f7290e5418b44962c472d335ed"),
+    ('compare period-doubling thue-morse --length 4096 --format json', 1, "346fe9f0a60086f4a9700d5fb7c13e66dbd8520f6c8b118552bb467796d8901e"),
+    ('generate classical-hanoi --length 16', 0, "487c4bfc1f517415a4cae8c78cba1e53396575e53e7fff79502069a1609615f6"),
+    ('hanoi verify --disks 8', 0, "c2c52220cabb2ea047903b5998597c6a4fab2fb84687d73465d7eceef56a2765"),
+    ('hanoi solve --variant cyclic --disks 5 --check-optimal', 0, "165cb84b0f90e79d1443c51378a89d8d2d692b89f6d5ade8c9dc6e47fcff3eaf"),
+    ('hanoi solve --disks 4 --olive --target III', 0, "031c863b2d3367b18612835c7c9ab713669a91a6fb5ba5e5eceffd5fb3b50360"),
+    ('hanoi bfs --variant lazy --disks 6 --target III', 0, "9e4221bd70d85a8263b99cf8410de5dcabe630cc31256aa32753312e12a9d64d"),
+    ('toeplitz --pattern "a C b . c B a . b A c ." --length 64 --expect classical-hanoi', 0, "2a274d8b5176e8e5e82938f95cf348ba491a0646ec67bb415ebb028f8db330d0"),
+    ('compare z-nonuniform z-uniform --length 10000', 0, "88a89a178b21887ec14b664a5f6a49399a62562a29e0e1d520bb4384aec7d24f"),
+    ('census --seq classical-hanoi --width 3 --aligned', 0, "48615a198a60c33004f0215cc45b304a5cba41bca82a21ac8fdb1a8f97d08765"),
+    ('squarefree --seq classical-hanoi --length 10000', 0, "341d77e7c111e78c70a9f90beb250134a22506614a4ddf34b7bf40c09b2c3ddc"),
+    ('kernel --seq period-doubling --radix 2 --depth 8', 0, "1525d482194768a198a4ec590c4520cda62f2b3b47105e2bf2b1dee5b492a5c0"),
+    ('construct-nonuniform --seq thue-morse --validate 16384', 0, "75528c240c4c2233b2fbbeb268da3da30983d7e569eac6377b365a59e97b0cb5"),
+    ('eval --seq classical-hanoi --index 9 --check-prefix 65536', 0, "01ee637076550ee702b43ca8131f47aa20c7ea85cf58534803e43482ba5e80b1"),
+    ('christol verify --order 4096', 0, "baac6c136ffa11813cc2c1a02fdc766156b41c26e7e864dcdc32c1819ab6ef06"),
+    ('christol search --seq period-doubling --dmax 2 --coeff-degree 2', 0, "94942706fa7da229805213383792f8a785963f28730499dfc52fd4e26e1ed2c2"),
+    ('derive --what Z --length 10000 --check', 0, "6440fcc8b2b2c963cd2584c5c24641fea78400dc3b9aa8242990feef8afbf99b"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_digest(argv, code, digest, capsys):
+    assert run(shlex.split(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -132,10 +132,10 @@ class TestConstruct:
         extended = good.morphism.domain
         bad_w3 = Word(source_domain, tuple(reversed(good.w3.indices)))
         assert bad_w3 != good.w3
-        glued = (good.w1.indices
-                 + (source_domain.index(good.expanding),
-                    source_domain.index(good.companion))
-                 + bad_w3.indices)
+        glued = (good.w1.indices.tolist()
+                 + [source_domain.index(good.expanding),
+                    source_domain.index(good.companion)]
+                 + bad_w3.indices.tolist())
         images = list(good.morphism.images)
         images[-2] = Word(extended, glued[:1])
         images[-1] = Word(extended, glued[1:])

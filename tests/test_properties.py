@@ -1,0 +1,213 @@
+"""Derandomized property tests: random morphisms, codings, patterns and
+words against plain-Python reference implementations kept here."""
+
+import types
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hanoiseq.automaton import dfao_from_uniform_morphism
+from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET
+from hanoiseq.classicseq import derive_U, derive_Z
+from hanoiseq.hanoi import factor_census
+from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
+                                 construct_nonuniform, validate_construction)
+from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
+from hanoiseq.words import Alphabet, Coding, Morphism, MorphicSpec, Word
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def alphabet_of(size: int) -> Alphabet:
+    return Alphabet(tuple(f"s{i}" for i in range(size)))
+
+
+@st.composite
+def morphisms(draw, uniform=None, max_letters=6):
+    """Non-erasing morphism over 1-6 letters, images of 1-4 letters, whose
+    image of letter 0 starts with 0 and has length >= 2 (so it is
+    prolongable at letter 0)."""
+    size = draw(st.integers(1, max_letters))
+    if uniform is None:
+        uniform = draw(st.booleans())
+    width = draw(st.integers(2, 4))
+    images = []
+    for i in range(size):
+        length = width if uniform else draw(st.integers(2 if i == 0 else 1, 4))
+        image = draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length))
+        if i == 0:
+            image[0] = 0
+        images.append(image)
+    return images
+
+
+def build_spec(images, coding_table=None) -> MorphicSpec:
+    alphabet = alphabet_of(len(images))
+    morphism = Morphism(alphabet, alphabet, tuple(Word(alphabet, img) for img in images))
+    coding = None
+    if coding_table is not None:
+        coding = Coding(alphabet, alphabet_of(max(coding_table) + 1), coding_table)
+    return MorphicSpec(morphism, "s0", coding)
+
+
+def reference_prefix(images, length, coding_table=None):
+    current = [0]
+    while len(current) < length:
+        current = [j for i in current for j in images[i]]
+    current = current[:length]
+    return [coding_table[i] for i in current] if coding_table else current
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 300))
+def test_prefix_matches_reference_expansion(data, length):
+    images = data.draw(morphisms())
+    coding_table = data.draw(st.none() | st.lists(
+        st.integers(0, 2), min_size=len(images), max_size=len(images)))
+    spec = build_spec(images, coding_table)
+    assert spec.prefix(length).indices.tolist() == \
+        reference_prefix(images, length, coding_table)
+
+
+@PROPERTY
+@given(st.data())
+def test_automaton_evaluates_the_prefix(data):
+    images = data.draw(morphisms(uniform=True))
+    coding_table = data.draw(st.none() | st.lists(
+        st.integers(0, 2), min_size=len(images), max_size=len(images)))
+    spec = build_spec(images, coding_table)
+    dfao = dfao_from_uniform_morphism(spec)
+    prefix = spec.prefix(200).tokens()
+    assert [dfao.eval(i) for i in range(200)] == list(prefix)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 5), max_size=40), st.integers(0, 10), st.integers(0, 10))
+def test_word_identity_is_by_value(indices, head, tail):
+    padded = [0] * head + indices + [1] * tail
+    built = [Word(HANOI_ALPHABET, tuple(indices)),
+             Word(HANOI_ALPHABET, list(indices)),
+             Word(HANOI_ALPHABET, np.array(indices, dtype=np.int64)),
+             Word(HANOI_ALPHABET, padded)[head:head + len(indices)]]
+    for word in built:
+        assert word == built[0]
+        assert hash(word) == hash(built[0])
+        assert word.indices.tolist() == indices
+    assert len(set(built)) == 1
+    if indices:
+        other = list(indices)
+        other[-1] = (other[-1] + 1) % 6
+        assert Word(HANOI_ALPHABET, other) != built[0]
+
+
+@st.composite
+def patterns(draw):
+    symbols = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-1, symbols - 1), min_size=1, max_size=8))
+    cells[0] = max(cells[0], 0)
+    return [HOLE if c < 0 else f"x{c}" for c in cells]
+
+
+@PROPERTY
+@given(patterns(), st.integers(1, 200))
+def test_repeated_fill_pass_converges_to_expansion(pattern, length):
+    spec = ToeplitzSpec.from_tokens(pattern)
+    stage = tuple((pattern * length)[:length])
+    while HOLE in stage:
+        stage = fill_pass(stage)
+    assert stage == toeplitz_expand(spec, length).tokens()
+
+
+@PROPERTY
+@given(morphisms(uniform=True, max_letters=4))
+def test_construction_validates_or_raises(images):
+    spec = build_spec(images)
+    try:
+        construction = construct_nonuniform(spec.morphism, spec.start)
+    except ConstructionError:
+        return
+    assert validate_construction(construction, 512)
+
+
+def reference_noncommuting_block(construction, primed):
+    ell = construction.block_length
+    for j in range(len(primed) // ell):
+        block = primed[j * ell:(j + 1) * ell]
+        left = construction.coding.apply(construction.morphism.apply(block))
+        right = construction.effective.apply(construction.coding.apply(block))
+        if left != right:
+            return j
+    return None
+
+
+@PROPERTY
+@given(st.data())
+def test_first_noncommuting_block_matches_block_loop(data):
+    # the source letters commute by construction; one extra letter gets a
+    # random image, and the word carries it at a few random places, so the
+    # first failing block (if any) can come late
+    source = alphabet_of(data.draw(st.integers(1, 3)))
+    n_src = len(source.symbols)
+    extended = Alphabet(source.symbols + ("bad",))
+    width = data.draw(st.integers(1, 3))
+    letter = st.integers(0, n_src - 1)
+    effective_images = [data.draw(st.lists(letter, min_size=width, max_size=width))
+                        for _ in range(n_src)]
+    bad_image = data.draw(st.lists(st.integers(0, n_src), max_size=2 * width))
+    construction = types.SimpleNamespace(
+        block_length=data.draw(st.integers(1, 4)),
+        effective=Morphism(source, source, tuple(Word(source, img)
+                                                 for img in effective_images)),
+        morphism=Morphism(extended, extended, tuple(
+            Word(extended, img) for img in effective_images + [bad_image])),
+        coding=Coding(extended, source, tuple(range(n_src)) + (data.draw(letter),)))
+    primed = data.draw(st.lists(letter, min_size=8, max_size=60))
+    for _ in range(data.draw(st.integers(0, 3))):
+        primed.insert(data.draw(st.integers(0, len(primed))), n_src)
+    word = Word(extended, primed)
+    assert _first_noncommuting_block(construction, word) == \
+        reference_noncommuting_block(construction, word)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 5), max_size=80), st.integers(1, 30), st.booleans())
+def test_factor_census_matches_window_scan(indices, width, aligned):
+    # widths above 24 take the unpacked path: 6^25 does not fit in 64 bits
+    word = Word(HANOI_ALPHABET, indices)
+    step = width if aligned else 1
+    expected = {tuple(indices[i:i + width])
+                for i in range(0, len(indices) - width + 1, step)}
+    got = factor_census(word, width, aligned)
+    assert {tuple(b.indices.tolist()) for b in got} == expected
+    assert all(b.alphabet == HANOI_ALPHABET for b in got)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 5), max_size=200))
+def test_derive_U_is_the_running_plain_count(indices):
+    plain = {HANOI_ALPHABET.index(s) for s in "abc"}
+    expected, total = [], 0
+    for i in indices:
+        total += i in plain
+        expected.append(total)
+    assert derive_U(Word(HANOI_ALPHABET, indices)).values == tuple(expected)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_derive_Z_lists_the_gaps_between_zeros(bits):
+    bits = [0] + bits
+    zeros = [i for i, b in enumerate(bits) if b == BINARY_ALPHABET.index("0")]
+    expected = tuple(b - a - 1 for a, b in zip(zeros, zeros[1:]))
+    assert derive_Z(Word(BINARY_ALPHABET, bits)).values == expected
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 5), max_size=50), st.lists(st.integers(0, 3), max_size=50))
+def test_first_mismatch_compares_tokens(left, right):
+    other = Alphabet(("a", "B", "x", "c"))  # shares "a" and "c" with the move letters
+    a, b = Word(HANOI_ALPHABET, left), Word(other, right)
+    ta, tb = a.tokens(), b.tokens()
+    expected = next((i for i in range(min(len(ta), len(tb))) if ta[i] != tb[i]), None)
+    assert a.first_mismatch(b) == expected

@@ -1,12 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, morphic_entry
 from hanoiseq.words import (Alphabet, DomainError, Morphism,
                             MorphicSpec, ProlongabilityError, Word,
-                            apply_coding, is_prolongable, iterate_fixed_point,
-                            morphism_apply, spec_from_json, spec_to_json)
+                            is_prolongable, spec_from_json, spec_to_json)
 
 PHI = morphic_entry("classical-hanoi").morphism
 OMEGA = morphic_entry("period-doubling").morphism
@@ -53,20 +53,52 @@ class TestWord:
             Word(BINARY_ALPHABET, (0, 5))
 
 
+class TestLargeAlphabet:
+    BIG = Alphabet(tuple(f"t{i}" for i in range(300)))
+
+    def test_indices_keep_their_values(self):
+        w = Word(self.BIG, (299, 0, 256, 255))
+        assert w.indices.dtype == np.uint16
+        assert w.indices.tolist() == [299, 0, 256, 255]
+        assert w.text() == "t299 t0 t256 t255"
+        assert w.tokens() == ("t299", "t0", "t256", "t255")
+        assert Word.from_tokens(self.BIG, w.text()) == w
+        assert w[1:] + w[:1] == Word(self.BIG, [0, 256, 255, 299])
+
+    @pytest.mark.parametrize("bad", [(-1,), (300,), [0, 300], [2 ** 70],
+                                     np.array([-1]), np.array([300])])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Word(self.BIG, bad)
+
+    @pytest.mark.parametrize("bad", [(256,), (-1,), np.array([256]), np.array([-1])])
+    def test_no_wrap_at_the_uint8_boundary(self, bad):
+        alphabet = Alphabet(tuple(f"u{i}" for i in range(256)))
+        assert alphabet.dtype == np.uint8
+        with pytest.raises(DomainError):
+            Word(alphabet, bad)
+
+    def test_words_are_read_only(self):
+        w = hw("a C b")
+        with pytest.raises(ValueError):
+            w.indices[0] = 1
+        assert w[1:].indices.flags.writeable is False
+
+
 class TestMorphismApply:
     def test_phi_on_a_cbar(self):
-        assert morphism_apply(PHI, hw("a C")).text() == "a C b a"
+        assert PHI.apply(hw("a C")).text() == "a C b a"
 
     def test_empty_word(self):
-        assert morphism_apply(PHI, Word(HANOI_ALPHABET)).text() == ""
+        assert PHI.apply(Word(HANOI_ALPHABET)).text() == ""
 
     def test_omega_on_one_zero(self):
         w = Word.from_tokens(BINARY_ALPHABET, "1 0")
-        assert morphism_apply(OMEGA, w).text() == "1 0 1 1"
+        assert OMEGA.apply(w).text() == "1 0 1 1"
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainError):
-            morphism_apply(PHI, Word.from_tokens(BINARY_ALPHABET, "0"))
+            PHI.apply(Word.from_tokens(BINARY_ALPHABET, "0"))
 
     def test_homomorphism_law(self):
         rng = random.Random(1851)
@@ -114,15 +146,15 @@ class TestProlongability:
 class TestFixedPoint:
     def test_classical_prefix_8(self):
         spec = morphic_entry("classical-hanoi")
-        assert iterate_fixed_point(spec, 8).text() == "a C b a c B a C"
+        assert spec.prefix(8).text() == "a C b a c B a C"
 
     def test_fibonacci_prefix_8(self):
         spec = morphic_entry("fibonacci")
-        assert "".join(iterate_fixed_point(spec, 8).tokens()) == "abaababa"
+        assert "".join(spec.prefix(8).tokens()) == "abaababa"
 
     def test_lazy_prefix_9(self):
         spec = morphic_entry("lazy-hanoi")
-        assert iterate_fixed_point(spec, 9).text() == "a b a B A b a b a"
+        assert spec.prefix(9).text() == "a b a B A b a b a"
 
     def test_length_zero(self):
         assert len(morphic_entry("classical-hanoi").prefix(0)) == 0
@@ -148,26 +180,26 @@ class TestCoding:
     def test_cyclic_coding(self):
         spec = morphic_entry("cyclic-hanoi")
         w = Word.from_tokens(spec.morphism.domain, "f v f")
-        assert apply_coding(spec.coding, w).text() == "a b a"
+        assert spec.coding.apply(w).text() == "a b a"
 
     def test_mod3_coding(self):
         spec = morphic_entry("z-uniform")
         w = Word.from_tokens(spec.morphism.domain, "0 4")
-        assert apply_coding(spec.coding, w).text() == "0 1"
+        assert spec.coding.apply(w).text() == "0 1"
 
     def test_bar_projection(self):
         from hanoiseq.classicseq import BAR_PROJECTION
-        assert apply_coding(BAR_PROJECTION, hw("a C b")).text() == "1 0 1"
+        assert BAR_PROJECTION.apply(hw("a C b")).text() == "1 0 1"
 
     def test_length_preserving(self):
         spec = morphic_entry("cyclic-hanoi")
         w = spec.pure_prefix(100)
-        assert len(apply_coding(spec.coding, w)) == 100
+        assert len(spec.coding.apply(w)) == 100
 
     def test_domain_mismatch(self):
         spec = morphic_entry("cyclic-hanoi")
         with pytest.raises(DomainError):
-            apply_coding(spec.coding, hw("a"))
+            spec.coding.apply(hw("a"))
 
 
 class TestJson:
