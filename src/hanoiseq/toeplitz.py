@@ -8,8 +8,9 @@ unique hole-free limit, provided the block does not begin with a hole.
 ``toeplitz_expand`` computes limit prefixes level by level: the j-th
 hole of the periodic stream carries the value of position j of the
 limit, and j is always strictly smaller than the hole's own position, so
-the holes of a length-n prefix are filled, in one array assignment, by
-the shorter prefix holding as many symbols as there are holes.
+the holes of a length-n prefix are filled, in one assignment to the hole
+columns of the period-by-period table, by the shorter prefix holding as
+many symbols as there are holes.
 ``fill_pass`` performs a single filling step on a finite prefix, holes
 included, for inspecting the intermediate stages of the construction.
 """
@@ -85,6 +86,7 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
     cells = np.array([0 if t == spec.hole else alphabet.index(t) for t in spec.pattern],
                      dtype=alphabet.dtype)
     holes_before = np.concatenate(([0], np.cumsum(is_hole)))
+    hole_columns = np.flatnonzero(is_hole)
     # the holes of a length-n prefix take the first holes(n) < n symbols
     # of the limit, so the prefix lengths shrink level by level down to 0
     lengths = [length]
@@ -93,10 +95,14 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
         lengths.append(int((n // period) * holes_before[period] + holes_before[n % period]))
     out = np.empty(0, dtype=alphabet.dtype)
     for n in reversed(lengths[:-1]):
-        periods = -(-n // period)
-        level = np.tile(cells, periods)[:n]
-        level[np.tile(is_hole, periods)[:n]] = out
-        out = level
+        # one row per period; the hole columns take the shorter prefix in
+        # row order, and the holes past n get zeros that the cut drops
+        rows = -(-n // period)
+        level = np.tile(cells, (rows, 1))
+        fill = np.zeros(rows * len(hole_columns), dtype=alphabet.dtype)
+        fill[:len(out)] = out
+        level[:, hole_columns] = fill.reshape(rows, len(hole_columns))
+        out = level.ravel()[:n]
     return Word._of(alphabet, out)
 
 
