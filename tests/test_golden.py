@@ -2,8 +2,11 @@
 CLI requests, pinned so that a change to how words are stored, expanded or
 rendered cannot alter what the CLI prints.
 
-The digests were recorded before the array-backed word storage replaced
-tuple-backed words; update one only for a deliberate change of output.
+The first 71 digests were recorded before the array-backed word storage
+replaced tuple-backed words.  The JSON renderings of the remaining commands,
+the exit-1 paths and the usage errors of ``USAGE_ERRORS`` were recorded
+before the commands were made to return their result to a single renderer.
+Update an entry only for a deliberate change of output.
 """
 
 import hashlib
@@ -88,6 +91,53 @@ GOLDEN = [
     ('christol verify --order 4096', 0, "baac6c136ffa11813cc2c1a02fdc766156b41c26e7e864dcdc32c1819ab6ef06"),
     ('christol search --seq period-doubling --dmax 2 --coeff-degree 2', 0, "94942706fa7da229805213383792f8a785963f28730499dfc52fd4e26e1ed2c2"),
     ('derive --what Z --length 10000 --check', 0, "6440fcc8b2b2c963cd2584c5c24641fea78400dc3b9aa8242990feef8afbf99b"),
+    # the JSON rendering of every other command, and derive without --check
+    ('hanoi solve --variant cyclic --disks 5 --check-optimal --format json', 0, "147327ec860969cb483c073ea3477d0415ace9d007b841d0efaef8e62e1e5901"),
+    ('hanoi solve --disks 4 --olive --target III --format json', 0, "aacc536272e8f4c8d55cc1b3b307661cb896a10cd231dd721b1f2259152c7587"),
+    ('hanoi verify --disks 8 --format json', 0, "41d994bf615164e2276f56d978f78499f4bac5cc1573aa588d5c6db564b3de1e"),
+    ('hanoi bfs --variant lazy --disks 6 --target III --format json', 0, "fa8fc66aed2a82aa20f472aa417a33af66cbc3ad65188010dce92c995ccdafa4"),
+    ('toeplitz --pattern "a C b . c B a . b A c ." --length 64 --expect classical-hanoi --format json', 0, "7af22a53eaccedae2b2641315fd4f0516c469b6457154562f690ba79f6cc8ae0"),
+    ('census --seq classical-hanoi --width 3 --aligned --format json', 0, "fb8f2607dbd292aec0827f66bd336657dc42ec2bcce9ef35c8d57e5602797846"),
+    ('squarefree --seq classical-hanoi --length 10000 --format json', 0, "0ca5601dc888b1021f82b4f3604e109edefdd3f69ed1d3f95b7d8151ea09d800"),
+    ('kernel --seq period-doubling --radix 2 --depth 8 --format json', 0, "2c59c6ec26167f105a261e843af7cf8c77480fefb655a22f25ad74d7d4cdb9ca"),
+    ('construct-nonuniform --seq thue-morse --validate 16384 --format json', 0, "d5a59eb56a6db7abe643988572503f3d3675bdeeac8cc871cc0f020a7704a895"),
+    ('eval --seq classical-hanoi --index 9 --check-prefix 65536 --format json', 0, "2fdccb5ef44bf36936c11ba951cc5169915c49b546ffb8127b00ecbb0c4149e0"),
+    ('eval --seq thue-morse --check-prefix 100 --format json', 0, "b0a17d35db610e6181923aaccf22018430bfbe6aaae7bef9a9ecb53e3ae415e8"),
+    ('christol verify --order 4096 --format json', 0, "0d4eacc80d0a46f769ca30f8d83dd0c8ba81442017d719e8003d673bca9c8d16"),
+    ('christol search --seq period-doubling --dmax 2 --coeff-degree 2 --format json', 0, "c9b8b1de12336ddcc13db9fc23838c1f65f8101dbf9f0b59fb1ce9beb6a72aa2"),
+    ('christol search --seq thue-morse --order 64 --dmax 1 --coeff-degree 1 --format json', 0, "10b2bc4f7f95d5e2ef324b3447d64c658409449d0a370345d485770b2ebb08f8"),
+    ('derive --what T --length 2048', 0, "8a1e267376ad39f89c5725fc51eecf3ff0cdb5efc4d604321fbc316c9fbaf020"),
+    ('derive --what T --length 2048 --format json', 0, "8e1f50abe94024302ffe86146c9c5ef745b73d299b379f5d7b6ad491bdb61584"),
+    ('derive --what U --length 2048', 0, "a05236a1b8fa1d886758bdf930cf4003d1526a8db33b0292bc56fc932be15b91"),
+    ('derive --what U --length 2048 --format json', 0, "92375217120fce05affe92389e11063c992d8200a0afe9ad060d320ebea62cf4"),
+    ('derive --what V --length 2048', 0, "77c783240c50ecad6dee2d7040b0f3285975bbc87bbc34423365d2e8734e0df2"),
+    ('derive --what V --length 2048 --format json', 0, "27ba01069d04c6a4cba63e9233d060613c27092bf195ba051eb93e303e2b7186"),
+    ('derive --what Z --length 2048', 0, "f321498aff69f369afbab9d3e97518320873e5ea5c4fd9f698d03714ae99a931"),
+    ('derive --what Z --length 2048 --format json', 0, "4caf8e48b503968dd202dee8c52606b9cc7acb78593ed3e5eb2469af3c1d2309"),
+    # exit 1: a square found, a Toeplitz expansion that misses its target,
+    # a solution that ends on the wrong peg
+    ('squarefree --seq thue-morse --length 100', 1, "85d2cb27e0ee543c900c52d919834b8639fa9cb27113af4eadbb7926a9732b03"),
+    ('squarefree --seq thue-morse --length 100 --format json', 1, "e2a4d2550d77f4e188e7f26762b37a22d4e1eb44b3d4fcc93fb53523c3bc868f"),
+    ('toeplitz --pattern "a C b . c B a . b A c ." --length 64 --expect lazy-hanoi', 1, "79b40e3866fc6f222ed8f4798b32dca9a4341cd7f24a55941bfbe5e3fbeeed0c"),
+    ('toeplitz --pattern "a C b . c B a . b A c ." --length 64 --expect lazy-hanoi --format json', 1, "a1fde97e534948fae0a1464691da32d526e76fb624b22f921613c8cefa728c21"),
+    ('hanoi solve --disks 3 --target III', 1, "8d3fa48e5c451deaf08f453602a33e8f5ccb3add92e8b08ec2f43bd95192ed45"),
+    ('hanoi solve --disks 3 --target III --format json', 1, "2683051218c764a0024237e3b30ff205f3211f86c33c46dc14a02ee87736607b"),
+]
+
+# (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown
+# sequence is reported before a missing --index/--check-prefix.
+USAGE_ERRORS = [
+    ('eval --seq thue-morse', 2, 'error: give --index and/or --check-prefix\n'),
+    ('eval --seq thue-morse --format json', 2, 'error: give --index and/or --check-prefix\n'),
+    ('eval --seq no-such', 2,
+     "error: unknown sequence 'no-such'; available: classical-hanoi, "
+     "classical-hanoi-nonuniform, classical-hanoi-toeplitz, cyclic-hanoi, fibonacci, "
+     "lazy-hanoi, lazy-hanoi-nonuniform, paperfolding, period-doubling, thue-morse, "
+     "z-nonuniform, z-uniform\n"),
+    ('hanoi solve --variant cyclic --disks 3 --olive', 2,
+     'error: the alternating solver applies to the classical variant only\n'),
+    ('hanoi solve --variant cyclic --disks 3 --olive --format json', 2,
+     'error: the alternating solver applies to the classical variant only\n'),
 ]
 
 
@@ -96,3 +146,9 @@ def test_stdout_digest(argv, code, digest, capsys):
     assert run(shlex.split(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code,err", USAGE_ERRORS, ids=[u[0] for u in USAGE_ERRORS])
+def test_usage_error(argv, code, err, capsys):
+    assert run(shlex.split(argv)) == code
+    assert capsys.readouterr() == ("", err)
