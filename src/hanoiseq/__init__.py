@@ -4,7 +4,7 @@ output, Toeplitz constructions, and desk-scale verification oracles."""
 from .algebra import (InsufficientTruncationError, Relation, Series,
                       evaluate_relation, find_algebraic_relation,
                       period_doubling_relation, series_from_sequence)
-from .automaton import (Dfao, KernelReport, NonUniformError, dfao_eval,
+from .automaton import (Dfao, KernelReport, NonUniformError,
                         dfao_from_uniform_morphism, kernel_explore)
 from .catalog import (UnknownSequenceError, catalog_lookup, catalog_names,
                       catalog_prefix, morphic_entry)
@@ -13,7 +13,7 @@ from .classicseq import (BAR_PROJECTION, IntSequence, derive_T, derive_U,
                          doublefree_oracle)
 from .hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError, EmptySourceError,
                     HanoiState, IllegalMoveError, Trace, UnreachableError,
-                    Variant, VariantViolationError, apply_move, bar,
+                    Variant, VariantViolationError, bar,
                     bfs_optimal, factor_census, olive_solve, simulate,
                     squarefree_check, variant_by_name, verify_classical_prefix)
 from .nonuniform import (Construction, ConstructionError, construct_nonuniform,

@@ -56,10 +56,6 @@ class Series:
         coeffs = tuple(int(c) % self.modulus for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def one(cls, modulus: int, order: int) -> "Series":
-        return cls(modulus, (1,) + (0,) * (order - 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -67,21 +63,9 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.modulus, self.coeffs[:order])
-
     def _check(self, other: "Series") -> None:
         if self.modulus != other.modulus:
             raise ValueError("series use different moduli")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check(other)
-        order = min(self.order, other.order)
-        q = self.modulus
-        return Series(q, tuple((a + b) % q for a, b in
-                               zip(self.coeffs[:order], other.coeffs[:order])))
 
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)

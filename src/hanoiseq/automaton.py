@@ -92,10 +92,6 @@ def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     return Dfao(alphabet, width, spec.start, transitions, output)
 
 
-def dfao_eval(dfao: Dfao, n: int) -> str:
-    return dfao.eval(n)
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Finite-prefix evidence about the radix-k kernel of a sequence."""

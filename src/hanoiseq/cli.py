@@ -17,14 +17,15 @@ from .algebra import (InsufficientTruncationError, evaluate_relation,
                       series_from_sequence)
 from .automaton import NonUniformError, dfao_from_uniform_morphism, kernel_explore
 from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
-from .classicseq import derive_T, derive_U, derive_V, derive_Z, doublefree_oracle
+from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
+                         doublefree_oracle)
 from .hanoi import (VariantViolationError, bfs_optimal, factor_census,
                     olive_solve, simulate, squarefree_check, variant_by_name,
                     verify_classical_prefix)
 from .nonuniform import (ConstructionError, construct_nonuniform,
                          validation_failures)
 from .toeplitz import NonConvergentError, ToeplitzSpec, toeplitz_expand
-from .words import DomainError, ProlongabilityError
+from .words import DomainError, ProlongabilityError, Word
 
 _SEQUENCE_FOR_VARIANT = {
     "classical": "classical-hanoi",
@@ -33,12 +34,26 @@ _SEQUENCE_FOR_VARIANT = {
 }
 
 
-def _emit(args, lines, payload) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+# A command prints nothing and returns (exit status, text lines, JSON payload)
+# for run() to render once, in the requested format.  Words and integer
+# sequences go in unrendered; no payload means the command reported on stderr.
+Result = tuple[int, list, dict | None]
+
+
+def _json_value(value):
+    if isinstance(value, Word):
+        return value.tokens()
+    if isinstance(value, IntSequence):
+        return value.to_json()
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def _emit(fmt, lines, payload) -> None:
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True, default=_json_value))
     else:
         for line in lines:
-            print(line)
+            print(line if isinstance(line, str) else line.text())
 
 
 def _parse_value_map(text):
@@ -53,14 +68,12 @@ def _parse_value_map(text):
     return mapping
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Result:
     word = catalog_prefix(args.name, args.length)
-    _emit(args, [word.text()],
-          {"name": args.name, "length": args.length, "tokens": list(word.tokens())})
-    return 0
+    return 0, [word], {"name": args.name, "length": args.length, "tokens": word}
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Result:
     left = catalog_prefix(args.name_a, args.length)
     right = catalog_prefix(args.name_b, args.length)
     mismatch = left.first_mismatch(right)
@@ -68,11 +81,9 @@ def cmd_compare(args) -> int:
                "length": args.length, "equal": mismatch is None,
                "first_mismatch": mismatch}
     if mismatch is None:
-        _emit(args, [f"equal on the first {args.length} symbols"], payload)
-        return 0
-    _emit(args, [f"first mismatch at index {mismatch}: "
-                 f"{left[mismatch]} vs {right[mismatch]}"], payload)
-    return 1
+        return 0, [f"equal on the first {args.length} symbols"], payload
+    return 1, [f"first mismatch at index {mismatch}: "
+               f"{left[mismatch]} vs {right[mismatch]}"], payload
 
 
 def _sequence_solution(variant_name: str, disks: int):
@@ -96,27 +107,24 @@ def _sequence_solution(variant_name: str, disks: int):
         length *= 4
 
 
-def cmd_hanoi_solve(args) -> int:
+def cmd_hanoi_solve(args) -> Result:
     if args.olive and args.variant != "classical":
-        print("error: the alternating solver applies to the classical variant only",
-              file=sys.stderr)
-        return 2
+        raise ValueError("the alternating solver applies to the classical variant only")
     if args.olive:
-        target = args.target or ("II" if args.disks % 2 else "III")
-        word = olive_solve(args.disks, target)
+        peg = args.target or ("II" if args.disks % 2 else "III")
+        word = olive_solve(args.disks, peg)
         trace = simulate(word, args.disks, variant_by_name(args.variant))
         if not trace.ok:
             print(f"error: alternating solution is illegal: {trace.error}",
                   file=sys.stderr)
-            return 1
-        peg = target
+            return 1, [], None
         method = "olive"
     else:
         word, peg = _sequence_solution(args.variant, args.disks)
         method = "sequence"
-    lines = [word.text(), f"moves: {len(word)}", f"peg: {peg}"]
+    lines = [word, f"moves: {len(word)}", f"peg: {peg}"]
     payload = {"variant": args.variant, "disks": args.disks, "method": method,
-               "moves": list(word.tokens()), "steps": len(word), "peg": peg}
+               "moves": word, "steps": len(word), "peg": peg}
     status = 0
     if args.target and peg != args.target:
         lines.append(f"target check: reached {peg}, wanted {args.target}")
@@ -130,76 +138,66 @@ def cmd_hanoi_solve(args) -> int:
                      f"{'matches' if best == len(word) else 'MISMATCH'}")
         if best != len(word):
             status = 1
-    _emit(args, lines, payload)
-    return status
+    return status, lines, payload
 
 
-def cmd_hanoi_verify(args) -> int:
+def cmd_hanoi_verify(args) -> Result:
     ok = verify_classical_prefix(args.disks)
     steps = 2 ** args.disks - 1
     peg = "II" if args.disks % 2 else "III"
     lines = [f"disks: {args.disks}", f"moves: {steps}", f"peg: {peg}",
              f"result: {'ok' if ok else 'FAILED'}"]
-    _emit(args, lines, {"disks": args.disks, "moves": steps, "peg": peg, "ok": ok})
-    return 0 if ok else 1
+    return (0 if ok else 1), lines, {"disks": args.disks, "moves": steps,
+                                     "peg": peg, "ok": ok}
 
 
-def cmd_hanoi_bfs(args) -> int:
+def cmd_hanoi_bfs(args) -> Result:
     variant = variant_by_name(args.variant)
     length, word = bfs_optimal(variant, args.disks, args.source, args.target)
-    _emit(args, [f"optimal: {length}", word.text()],
-          {"variant": args.variant, "disks": args.disks, "source": args.source,
-           "target": args.target, "optimal": length, "moves": list(word.tokens())})
-    return 0
+    return 0, [f"optimal: {length}", word], {
+        "variant": args.variant, "disks": args.disks, "source": args.source,
+        "target": args.target, "optimal": length, "moves": word}
 
 
-def cmd_toeplitz(args) -> int:
+def cmd_toeplitz(args) -> Result:
     spec = ToeplitzSpec.from_tokens(args.pattern)
     word = toeplitz_expand(spec, args.length)
-    lines = [word.text()]
-    payload = {"pattern": list(spec.pattern), "length": args.length,
-               "tokens": list(word.tokens())}
+    lines = [word]
+    payload = {"pattern": list(spec.pattern), "length": args.length, "tokens": word}
     status = 0
     if args.expect:
-        other = catalog_prefix(args.expect, args.length)
-        equal = word.tokens() == other.tokens()
-        payload["expect"] = args.expect
-        payload["equal"] = equal
+        equal = word.first_mismatch(catalog_prefix(args.expect, args.length)) is None
+        payload.update(expect=args.expect, equal=equal)
         lines.append(f"matches {args.expect}: {'yes' if equal else 'NO'}")
         if not equal:
             status = 1
-    _emit(args, lines, payload)
-    return status
+    return status, lines, payload
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> Result:
     word = catalog_prefix(args.seq, args.length)
     blocks = factor_census(word, args.width, aligned=args.aligned)
     texts = sorted(b.text() for b in blocks)
-    _emit(args, [f"blocks: {len(texts)}"] + texts,
-          {"seq": args.seq, "length": args.length, "width": args.width,
-           "aligned": args.aligned, "blocks": [t.split() for t in texts]})
-    return 0
+    return 0, [f"blocks: {len(texts)}"] + texts, {
+        "seq": args.seq, "length": args.length, "width": args.width,
+        "aligned": args.aligned, "blocks": [t.split() for t in texts]}
 
 
-def cmd_squarefree(args) -> int:
+def cmd_squarefree(args) -> Result:
     word = catalog_prefix(args.seq, args.length)
     max_period = args.max_period or max(1, args.length // 2)
     hit = squarefree_check(word, max_period)
     payload = {"seq": args.seq, "length": args.length, "max_period": max_period,
                "square": list(hit) if hit else None}
     if hit is None:
-        _emit(args, [f"no square with period <= {max_period} "
-                     f"in the first {args.length} symbols"], payload)
-        return 0
+        return 0, [f"no square with period <= {max_period} "
+                   f"in the first {args.length} symbols"], payload
     position, period = hit
     block = word[position:position + 2 * period]
-    _emit(args, [f"square at position {position}, period {period}: {block.text()}"],
-          payload)
-    return 1
+    return 1, [f"square at position {position}, period {period}: {block.text()}"], payload
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> Result:
     word = catalog_prefix(args.seq, args.length)
     report = kernel_explore(word, args.radix, args.depth)
     lines = [
@@ -210,11 +208,10 @@ def cmd_kernel(args) -> int:
     ]
     if report.insufficient_evidence:
         lines.append("warning: prefix too short for the requested depth")
-    _emit(args, lines, {"seq": args.seq, **report.to_json()})
-    return 0
+    return 0, lines, {"seq": args.seq, **report.to_json()}
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> Result:
     spec = morphic_entry(args.seq)
     construction = construct_nonuniform(spec.morphism, spec.start)
     data = construction.to_json()
@@ -233,19 +230,18 @@ def cmd_construct(args) -> int:
             status = 1
         else:
             lines.append(f"validation: ok on {args.validate} symbols")
-    _emit(args, lines, data)
-    return status
+    return status, lines, data
 
 
-def cmd_christol_verify(args) -> int:
+def cmd_christol_verify(args) -> Result:
     series = series_from_sequence(catalog_prefix("period-doubling", args.order),
                                   2, args.order)
     residue = evaluate_relation(period_doubling_relation(), series)
     ok = residue.is_zero()
-    _emit(args, [f"X(1+X)F^2 + (1+X)F + 1 on the period-doubling series: "
-                 f"{'zero' if ok else 'NON-ZERO'} mod X^{args.order}"],
-          {"order": args.order, "zero": ok})
-    return 0 if ok else 1
+    return (0 if ok else 1), [
+        f"X(1+X)F^2 + (1+X)F + 1 on the period-doubling series: "
+        f"{'zero' if ok else 'NON-ZERO'} mod X^{args.order}"], {
+        "order": args.order, "zero": ok}
 
 
 def _poly_text(poly) -> str:
@@ -263,94 +259,77 @@ def _poly_text(poly) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def cmd_christol_search(args) -> int:
+def cmd_christol_search(args) -> Result:
     word = catalog_prefix(args.seq, args.order)
     series = series_from_sequence(word, args.modulus, args.order,
                                   value_map=_parse_value_map(args.map))
     relation = find_algebraic_relation(series, args.dmax, args.coeff_degree)
     if relation is None:
-        _emit(args, [f"no relation with degree <= {args.dmax} and coefficient "
-                     f"degree <= {args.coeff_degree} at order {args.order} "
-                     "(finite-truncation evidence only)"],
-              {"seq": args.seq, "order": args.order, "relation": None})
-        return 0
+        return 0, [f"no relation with degree <= {args.dmax} and coefficient "
+                   f"degree <= {args.coeff_degree} at order {args.order} "
+                   "(finite-truncation evidence only)"], {
+            "seq": args.seq, "order": args.order, "relation": None}
     normalized = relation.normalized()
     lines = ["relation found (A_i multiplies F^i):"]
     lines += [f"A_{i} = {_poly_text(p)}" for i, p in enumerate(normalized.polys)]
-    _emit(args, lines, {"seq": args.seq, "order": args.order,
-                        "relation": normalized.to_json()})
-    return 0
+    return 0, lines, {"seq": args.seq, "order": args.order,
+                      "relation": normalized.to_json()}
 
 
-def _derived_Z(length: int):
-    source = 4 * length + 64
-    while True:
-        z = derive_Z(catalog_prefix("thue-morse", source))
-        if len(z) >= length:
-            return z.values[:length]
-        source *= 2
+def _derived_Z(length: int) -> IntSequence:
+    # the k-th 0 of Thue-Morse sits at 2k + t_k, so a prefix of 2·length + 2
+    # terms holds exactly length + 1 zeros, that is, length gaps
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    return derive_Z(catalog_prefix("thue-morse", 2 * length + 2))
 
 
-def cmd_derive(args) -> int:
+def _derive_check(what: str, result, length: int):
+    """(label, ok) of the cross-identity that defines a projection."""
+    if what == "T":
+        return "matches period-doubling", result == catalog_prefix("period-doubling", length)
+    if what == "U":
+        upto = min(length, 24)
+        return (f"double-free oracle agrees for n <= {upto}",
+                all(doublefree_oracle(n) == result[n - 1] for n in range(1, upto + 1)))
+    if what == "V":
+        tm = catalog_prefix("thue-morse", length + 1)
+        return "0V matches thue-morse", tm[0] == "0" and tm[1:] == result
+    non, uni = (tuple(int(t) for t in catalog_prefix(name, length).tokens())
+                for name in ("z-nonuniform", "z-uniform"))
+    return "matches both morphic presentations", result.values == non == uni
+
+
+def cmd_derive(args) -> Result:
     length = args.length
-    status = 0
-    lines = []
-    payload = {"what": args.what, "length": length}
-    if args.what == "T":
-        word = derive_T(catalog_prefix("classical-hanoi", length))
-        lines.append(word.text())
-        payload["tokens"] = list(word.tokens())
-        if args.check:
-            ok = word == catalog_prefix("period-doubling", length)
-            lines.append(f"matches period-doubling: {'yes' if ok else 'NO'}")
-            payload["check"] = ok
-            status = 0 if ok else 1
-    elif args.what == "U":
-        u = derive_U(catalog_prefix("classical-hanoi", length))
-        lines.append(u.text())
-        payload["values"] = u.to_json()
-        if args.check:
-            upto = min(length, 24)
-            ok = all(doublefree_oracle(n) == u[n - 1] for n in range(1, upto + 1))
-            lines.append(f"double-free oracle agrees for n <= {upto}: "
-                         f"{'yes' if ok else 'NO'}")
-            payload["check"] = ok
-            status = 0 if ok else 1
-    elif args.what == "V":
-        v = derive_V(derive_U(catalog_prefix("classical-hanoi", length)))
-        lines.append(v.text())
-        payload["tokens"] = list(v.tokens())
-        if args.check:
-            tm = catalog_prefix("thue-morse", length + 1)
-            ok = ("0",) + v.tokens() == tm.tokens()
-            lines.append(f"0V matches thue-morse: {'yes' if ok else 'NO'}")
-            payload["check"] = ok
-            status = 0 if ok else 1
-    else:  # Z
-        values = _derived_Z(length)
-        lines.append(" ".join(str(v) for v in values))
-        payload["values"] = list(values)
-        if args.check:
-            non = tuple(int(t) for t in catalog_prefix("z-nonuniform", length).tokens())
-            uni = tuple(int(t) for t in catalog_prefix("z-uniform", length).tokens())
-            ok = values == non == uni
-            lines.append(f"matches both morphic presentations: {'yes' if ok else 'NO'}")
-            payload["check"] = ok
-            status = 0 if ok else 1
-    _emit(args, lines, payload)
-    return status
+    if args.what == "Z":
+        result = _derived_Z(length)
+    else:
+        moves = catalog_prefix("classical-hanoi", length)
+        result = derive_T(moves) if args.what == "T" else derive_U(moves)
+        if args.what == "V":
+            result = derive_V(result)
+    key = "values" if isinstance(result, IntSequence) else "tokens"
+    lines, payload = [result], {"what": args.what, "length": length, key: result}
+    if not args.check:
+        return 0, lines, payload
+    label, ok = _derive_check(args.what, result, length)
+    lines.append(f"{label}: {'yes' if ok else 'NO'}")
+    payload["check"] = ok
+    return (0 if ok else 1), lines, payload
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Result:
     dfao = dfao_from_uniform_morphism(morphic_entry(args.seq))
+    if args.index is None and not args.check_prefix:
+        raise ValueError("give --index and/or --check-prefix")
     status = 0
     lines = []
     payload = {"seq": args.seq}
     if args.index is not None:
         symbol = dfao.eval(args.index)
         lines.append(symbol)
-        payload["index"] = args.index
-        payload["symbol"] = symbol
+        payload.update(index=args.index, symbol=symbol)
     if args.check_prefix:
         prefix = catalog_prefix(args.seq, args.check_prefix).tokens()
         bad = next((n for n in range(args.check_prefix)
@@ -358,20 +337,17 @@ def cmd_eval(args) -> int:
         ok = bad is None
         lines.append(f"automaton agrees with the prefix for n < {args.check_prefix}: "
                      f"{'yes' if ok else f'NO (first mismatch at {bad})'}")
-        payload["check_prefix"] = args.check_prefix
-        payload["check"] = ok
+        payload.update(check_prefix=args.check_prefix, check=ok)
         if not ok:
             status = 1
-    if args.index is None and not args.check_prefix:
-        print("error: give --index and/or --check-prefix", file=sys.stderr)
-        return 2
-    _emit(args, lines, payload)
-    return status
+    return status, lines, payload
 
 
-def _add_format(parser) -> None:
+def _set_command(parser, func) -> None:
+    # --format goes last so that every usage line ends with it
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
+    parser.set_defaults(func=func)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,15 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="print a prefix of a catalog sequence")
     p.add_argument("name", help="catalog name, e.g. classical-hanoi")
     p.add_argument("--length", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_generate)
+    _set_command(p, cmd_generate)
 
     p = sub.add_parser("compare", help="compare two catalog sequences")
     p.add_argument("name_a")
     p.add_argument("name_b")
     p.add_argument("--length", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_compare)
+    _set_command(p, cmd_compare)
 
     p = sub.add_parser("hanoi", help="puzzle solving and verification")
     hanoi_sub = p.add_subparsers(dest="hanoi_command")
@@ -404,60 +378,52 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="use the alternating smallest-disk rule")
     ps.add_argument("--check-optimal", action="store_true",
                     help="cross-check the move count against breadth-first search")
-    _add_format(ps)
-    ps.set_defaults(func=cmd_hanoi_solve)
+    _set_command(ps, cmd_hanoi_solve)
 
     pv = hanoi_sub.add_parser("verify", help="check the classical prefix solves N disks")
     pv.add_argument("--disks", type=int, required=True)
-    _add_format(pv)
-    pv.set_defaults(func=cmd_hanoi_verify)
+    _set_command(pv, cmd_hanoi_verify)
 
     pb = hanoi_sub.add_parser("bfs", help="optimal move count by breadth-first search")
     pb.add_argument("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
     pb.add_argument("--disks", type=int, required=True)
     pb.add_argument("--source", default="I", choices=("I", "II", "III"))
     pb.add_argument("--target", default="II", choices=("I", "II", "III"))
-    _add_format(pb)
-    pb.set_defaults(func=cmd_hanoi_bfs)
+    _set_command(pb, cmd_hanoi_bfs)
 
     p = sub.add_parser("toeplitz", help="expand a periodic pattern with holes")
     p.add_argument("--pattern", required=True,
                    help="whitespace-separated tokens, '.' for the hole")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--expect", help="catalog name the expansion should equal")
-    _add_format(p)
-    p.set_defaults(func=cmd_toeplitz)
+    _set_command(p, cmd_toeplitz)
 
     p = sub.add_parser("census", help="distinct width-letter blocks of a sequence")
     p.add_argument("--seq", required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--aligned", action="store_true")
     p.add_argument("--length", type=int, default=4096)
-    _add_format(p)
-    p.set_defaults(func=cmd_census)
+    _set_command(p, cmd_census)
 
     p = sub.add_parser("squarefree", help="scan a prefix for squares ww")
     p.add_argument("--seq", required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max-period", type=int)
-    _add_format(p)
-    p.set_defaults(func=cmd_squarefree)
+    _set_command(p, cmd_squarefree)
 
     p = sub.add_parser("kernel", help="finite-prefix kernel class evidence")
     p.add_argument("--seq", required=True)
     p.add_argument("--radix", type=int, default=2)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--length", type=int, default=2 ** 16)
-    _add_format(p)
-    p.set_defaults(func=cmd_kernel)
+    _set_command(p, cmd_kernel)
 
     p = sub.add_parser("construct-nonuniform",
                        help="non-uniform presentation of a uniform catalog morphism")
     p.add_argument("--seq", required=True)
     p.add_argument("--validate", type=int, metavar="L",
                    help="validate the construction on an L-symbol prefix")
-    _add_format(p)
-    p.set_defaults(func=cmd_construct)
+    _set_command(p, cmd_construct)
 
     p = sub.add_parser("christol", help="algebraic relations of series over F_q")
     chris_sub = p.add_subparsers(dest="christol_command")
@@ -465,8 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = chris_sub.add_parser("verify",
                               help="check the period-doubling series relation")
     pv.add_argument("--order", type=int, default=4096)
-    _add_format(pv)
-    pv.set_defaults(func=cmd_christol_verify)
+    _set_command(pv, cmd_christol_verify)
 
     ps = chris_sub.add_parser("search", help="search for a low-degree relation")
     ps.add_argument("--seq", required=True)
@@ -475,24 +440,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--coeff-degree", type=int, default=2)
     ps.add_argument("--order", type=int, default=512)
     ps.add_argument("--map", help="symbol values, e.g. a=0,b=1")
-    _add_format(ps)
-    ps.set_defaults(func=cmd_christol_search)
+    _set_command(ps, cmd_christol_search)
 
     p = sub.add_parser("derive", help="classical projections T, U, V, Z")
     p.add_argument("--what", choices=("T", "U", "V", "Z"), required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="verify the defining cross-identity")
-    _add_format(p)
-    p.set_defaults(func=cmd_derive)
+    _set_command(p, cmd_derive)
 
     p = sub.add_parser("eval", help="evaluate one term through the automaton")
     p.add_argument("--seq", required=True)
     p.add_argument("--index", type=int)
     p.add_argument("--check-prefix", type=int, metavar="L",
                    help="compare automaton output with the prefix for n < L")
-    _add_format(p)
-    p.set_defaults(func=cmd_eval)
+    _set_command(p, cmd_eval)
 
     return parser
 
@@ -505,7 +467,10 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        status, lines, payload = args.func(args)
+        if payload is not None:
+            _emit(args.format, lines, payload)
+        return status
     except (UnknownSequenceError, DomainError, NonUniformError,
             ProlongabilityError, NonConvergentError, VariantViolationError,
             ConstructionError, InsufficientTruncationError, ValueError) as exc:

@@ -162,11 +162,6 @@ class HanoiState:
         return HanoiState(tuple(stacks))
 
 
-def apply_move(state: HanoiState, move: str) -> HanoiState:
-    """New state with the move's disk transferred; raises when illegal."""
-    return state.apply(move)
-
-
 @dataclass(frozen=True)
 class Trace:
     """Replay record: executed moves, per-step legality, completion events.

@@ -68,10 +68,6 @@ class ToeplitzSpec:
     def period(self) -> int:
         return len(self.pattern)
 
-    @property
-    def holes_per_period(self) -> int:
-        return sum(t == self.hole for t in self.pattern)
-
     def prefix(self, length: int) -> Word:
         return toeplitz_expand(self, length)
 

@@ -333,10 +333,6 @@ class Coding:
             raise DomainError("word is not over this coding's domain alphabet")
         return Word._of(self.codomain, self._lookup.take(word.indices))
 
-    def as_morphism(self) -> Morphism:
-        return Morphism(self.domain, self.codomain,
-                        tuple(Word(self.codomain, (t,)) for t in self.table))
-
 
 def _mortal_letters(m: Morphism) -> frozenset[int]:
     # letters whose iterated image eventually becomes the empty word

@@ -1,6 +1,6 @@
 import pytest
 
-from hanoiseq.automaton import (NonUniformError, dfao_eval,
+from hanoiseq.automaton import (NonUniformError,
                                 dfao_from_uniform_morphism, kernel_explore)
 from hanoiseq.catalog import BINARY_ALPHABET, morphic_entry
 from hanoiseq.words import Word
@@ -54,7 +54,7 @@ class TestDfaoEval:
         spec = morphic_entry(name)
         dfao = dfao_from_uniform_morphism(spec)
         prefix = spec.prefix(2 ** 10)
-        assert all(dfao_eval(dfao, n) == prefix[n] for n in range(2 ** 10))
+        assert all(dfao.eval(n) == prefix[n] for n in range(2 ** 10))
 
     @pytest.mark.parametrize("name", UNIFORM_NAMES)
     def test_leading_zero_digits_are_harmless(self, name):

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from hanoiseq.cli import run
+from hanoiseq import cli
+from hanoiseq.catalog import HANOI_ALPHABET
+from hanoiseq.classicseq import IntSequence
+from hanoiseq.cli import _build_parser, run
+from hanoiseq.words import Word
 
 S16 = "a C b a c B a C b A c b a C b a"
 
@@ -86,6 +90,16 @@ class TestHanoi:
     def test_olive_needs_classical(self, capsys):
         assert run(["hanoi", "solve", "--variant", "lazy", "--disks", "2",
                     "--olive"]) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_illegal_olive_replay_prints_nothing(self, fmt, monkeypatch, capsys):
+        # the second "a" finds peg I empty
+        monkeypatch.setattr(cli, "olive_solve",
+                            lambda disks, target: Word.from_tokens(HANOI_ALPHABET, "a a"))
+        assert run(["hanoi", "solve", "--disks", "1", "--olive", "--format", fmt]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: alternating solution is illegal: ")
 
     @pytest.mark.parametrize("variant", ["classical", "cyclic", "lazy"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -183,6 +197,19 @@ class TestOracles:
     def test_derive_with_check(self, what, capsys):
         assert run(["derive", "--what", what, "--length", "24", "--check"]) == 0
 
+    @pytest.mark.parametrize("what", ["T", "U", "V", "Z"])
+    @pytest.mark.parametrize("length", ["-1", "-15", "-16"])
+    def test_derive_rejects_negative_length(self, what, length, capsys):
+        assert run(["derive", "--what", what, "--length", length]) == 2
+        assert out_of(capsys) == ("", "error: length must be >= 0\n")
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 100, 1023, 1024, 1025])
+    def test_derive_Z_has_the_requested_length(self, length, capsys):
+        assert run(["derive", "--what", "Z", "--length", str(length),
+                    "--format", "json"]) == 0
+        out, _ = out_of(capsys)
+        assert len(json.loads(out)["values"]) == length
+
     def test_eval(self, capsys):
         assert run(["eval", "--seq", "classical-hanoi", "--index", "9"]) == 0
         out, _ = out_of(capsys)
@@ -196,3 +223,64 @@ class TestOracles:
 
     def test_eval_needs_some_request(self, capsys):
         assert run(["eval", "--seq", "thue-morse"]) == 2
+
+
+# one request per command, each on its success path
+ONE_PER_COMMAND = (
+    ["generate", "thue-morse", "--length", "8"],
+    ["compare", "thue-morse", "period-doubling", "--length", "8"],
+    ["hanoi", "solve", "--disks", "3", "--check-optimal"],
+    ["hanoi", "verify", "--disks", "3"],
+    ["hanoi", "bfs", "--disks", "3"],
+    ["toeplitz", "--pattern", "0 . 1 .", "--length", "16", "--expect", "paperfolding"],
+    ["census", "--seq", "thue-morse", "--width", "2", "--length", "64"],
+    ["squarefree", "--seq", "classical-hanoi", "--length", "64"],
+    ["kernel", "--seq", "thue-morse", "--depth", "3", "--length", "256"],
+    ["construct-nonuniform", "--seq", "thue-morse", "--validate", "64"],
+    ["christol", "verify", "--order", "64"],
+    ["christol", "search", "--seq", "period-doubling", "--order", "128"],
+    ["derive", "--what", "U", "--length", "8", "--check"],
+    ["eval", "--seq", "thue-morse", "--index", "5", "--check-prefix", "64"],
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendering for the other format")
+
+
+class TestRendering:
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_commands_return_their_result_and_print_nothing(self, argv, fmt, capsys):
+        args = _build_parser().parse_args(argv + ["--format", fmt])
+        status, lines, payload = args.func(args)
+        assert out_of(capsys) == ("", "")
+        assert status in (0, 1) and isinstance(payload, dict)
+        assert lines
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "classical-hanoi", "--length", "1000"],
+        ["hanoi", "bfs", "--disks", "4"],
+        ["toeplitz", "--pattern", "0 . 1 .", "--length", "64"],
+        ["derive", "--what", "V", "--length", "64"],
+    ], ids=" ".join)
+    def test_text_builds_no_tokens(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(Word, "tokens", _refuse)
+        assert run(argv) == 0
+        out, _ = out_of(capsys)
+        assert out.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "classical-hanoi", "--length", "1000"],
+        ["hanoi", "solve", "--disks", "4"],
+        ["hanoi", "bfs", "--disks", "4"],
+        ["toeplitz", "--pattern", "0 . 1 .", "--length", "64"],
+        ["derive", "--what", "T", "--length", "64"],
+        ["derive", "--what", "Z", "--length", "64"],
+    ], ids=" ".join)
+    def test_json_builds_no_text(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(Word, "text", _refuse)
+        monkeypatch.setattr(IntSequence, "text", _refuse)
+        assert run(argv + ["--format", "json"]) == 0
+        out, _ = out_of(capsys)
+        assert json.loads(out)

@@ -6,7 +6,7 @@ from hanoiseq.catalog import catalog_prefix
 from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError,
                             EmptySourceError, HanoiState, MOVE_ORDER,
                             UnreachableError, Variant, VariantViolationError,
-                            apply_move, bar, bfs_optimal, factor_census,
+                            bar, bfs_optimal, factor_census,
                             olive_solve, simulate, squarefree_check,
                             variant_by_name, verify_classical_prefix)
 from hanoiseq.words import Word
@@ -19,17 +19,17 @@ EIGHT_QUADRUPLES = {"a b a B", "a b A B", "a B A b", "a B A B",
 class TestApplyMove:
     def test_simple_transfer(self):
         state = HanoiState(((2, 1), (), ()))
-        assert apply_move(state, "a").pegs == ((2,), (1,), ())
+        assert state.apply("a").pegs == ((2,), (1,), ())
 
     def test_larger_onto_smaller(self):
         state = HanoiState(((2,), (1,), ()))
         with pytest.raises(DiskOrderError):
-            apply_move(state, "a")
+            state.apply("a")
 
     def test_empty_source(self):
         state = HanoiState(((), (1,), ()))
         with pytest.raises(EmptySourceError):
-            apply_move(state, "a")
+            state.apply("a")
 
     def test_bar_is_involution(self):
         for move in MOVE_ORDER:
@@ -44,10 +44,10 @@ class TestApplyMove:
             state = HanoiState(tuple(tuple(p) for p in pegs))
             move = rng.choice(MOVE_ORDER)
             try:
-                moved = apply_move(state, move)
+                moved = state.apply(move)
             except (EmptySourceError, DiskOrderError):
                 continue
-            assert apply_move(moved, bar(move)) == state
+            assert moved.apply(bar(move)) == state
 
     def test_state_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ def _depth_limited_search(variant, disks, target_peg, limit):
             return False
         for move in moves:
             try:
-                nxt = apply_move(state, move)
+                nxt = state.apply(move)
             except (EmptySourceError, DiskOrderError):
                 continue
             if visited.get(nxt, -1) >= depth - 1:

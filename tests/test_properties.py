@@ -4,13 +4,14 @@ words against plain-Python reference implementations kept here."""
 import types
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hanoiseq.algebra import Relation, poly_gcd
 from hanoiseq.automaton import dfao_from_uniform_morphism
-from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET
+from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.classicseq import derive_U, derive_Z
-from hanoiseq.hanoi import factor_census
+from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
                                  construct_nonuniform, validate_construction)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
@@ -211,3 +212,49 @@ def test_first_mismatch_compares_tokens(left, right):
     ta, tb = a.tokens(), b.tokens()
     expected = next((i for i in range(min(len(ta), len(tb))) if ta[i] != tb[i]), None)
     assert a.first_mismatch(b) == expected
+
+
+CLASSICAL = catalog_prefix("classical-hanoi", 1100).indices.tolist()
+
+
+@PROPERTY
+@given(st.integers(0, 1000), st.integers(0, 40), st.lists(st.integers(0, 2), max_size=20),
+       st.booleans(), st.integers(1, 40))
+def test_squarefree_check_finds_the_earliest_square(start, length, tail, doubled, max_period):
+    # a square-free stretch of the classical sequence, then a tail over three
+    # letters: the earliest square starts late and often has several periods;
+    # doubling the whole word puts a long square in front of the short ones
+    indices = CLASSICAL[start:start + length] + tail
+    if doubled:
+        indices += indices
+    n = len(indices)
+    expected = next(((pos, p) for pos in range(n)
+                     for p in range(1, min(max_period, (n - pos) // 2) + 1)
+                     if indices[pos:pos + p] == indices[pos + p:pos + 2 * p]), None)
+    assert squarefree_check(Word(HANOI_ALPHABET, indices), max_period) == expected
+
+
+def poly_times(a, b, q):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return tuple(out)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from((2, 3, 5, 7)))
+def test_relation_normalized_is_idempotent(data, q):
+    # a random common factor makes the content division do real work
+    coeffs = st.lists(st.integers(0, q - 1), max_size=4)
+    polys = data.draw(st.lists(coeffs, min_size=1, max_size=4))
+    factor = data.draw(coeffs.filter(any))
+    polys = [poly_times(p, factor, q) for p in polys]
+    assume(any(any(p) for p in polys))
+    once = Relation(q, tuple(polys)).normalized()
+    assert once.normalized() == once
+    assert once.polys[-1][-1] == 1
+    common = ()
+    for p in once.polys:
+        common = poly_gcd(common, p, q)
+    assert len(common) == 1  # no common factor left
