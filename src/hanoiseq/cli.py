@@ -19,9 +19,9 @@ from .automaton import NonUniformError, dfao_from_uniform_morphism, kernel_explo
 from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
 from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
                          doublefree_oracle)
-from .hanoi import (VariantViolationError, bfs_optimal, factor_census,
-                    olive_solve, simulate, squarefree_check, variant_by_name,
-                    verify_classical_prefix)
+from .hanoi import (VariantViolationError, bfs_optimal, classical_target,
+                    factor_census, moves_budget, olive_solve, simulate,
+                    squarefree_check, variant_by_name, verify_classical_prefix)
 from .nonuniform import (ConstructionError, construct_nonuniform,
                          validation_failures)
 from .toeplitz import NonConvergentError, ToeplitzSpec, toeplitz_expand
@@ -90,11 +90,12 @@ def _sequence_solution(variant_name: str, disks: int):
     """Truncate the variant's catalog sequence at the first completion event."""
     if disks < 1:
         raise ValueError("disk count must be >= 1")
+    budget = moves_budget(disks)
     variant = variant_by_name(variant_name)
     name = _SEQUENCE_FOR_VARIANT[variant_name]
     length = 256
     while True:
-        word = catalog_prefix(name, length)
+        word = catalog_prefix(name, min(length, budget))
         trace = simulate(word, disks, variant)
         event = trace.event_for(disks)
         if event is not None:
@@ -102,8 +103,9 @@ def _sequence_solution(variant_name: str, disks: int):
         if not trace.ok:
             raise RuntimeError(
                 f"{name} aborted before completing {disks} disks: {trace.error}")
-        if length >= 1 << 26:
-            raise RuntimeError(f"no completion event for {disks} disks found")
+        if length >= budget:
+            raise ValueError(f"moves budget exceeded: {name} completes no "
+                             f"{disks}-disk tower within {budget} moves")
         length *= 4
 
 
@@ -111,7 +113,7 @@ def cmd_hanoi_solve(args) -> Result:
     if args.olive and args.variant != "classical":
         raise ValueError("the alternating solver applies to the classical variant only")
     if args.olive:
-        peg = args.target or ("II" if args.disks % 2 else "III")
+        peg = args.target or classical_target(args.disks)
         word = olive_solve(args.disks, peg)
         trace = simulate(word, args.disks, variant_by_name(args.variant))
         if not trace.ok:
@@ -144,7 +146,7 @@ def cmd_hanoi_solve(args) -> Result:
 def cmd_hanoi_verify(args) -> Result:
     ok = verify_classical_prefix(args.disks)
     steps = 2 ** args.disks - 1
-    peg = "II" if args.disks % 2 else "III"
+    peg = classical_target(args.disks)
     lines = [f"disks: {args.disks}", f"moves: {steps}", f"peg: {peg}",
              f"result: {'ok' if ok else 'FAILED'}"]
     return (0 if ok else 1), lines, {"disks": args.disks, "moves": steps,

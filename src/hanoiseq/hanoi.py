@@ -5,7 +5,9 @@ Moves: ``a`` I->II, ``b`` II->III, ``c`` III->I; the uppercase letters
 are the reversed moves, so ``C`` takes the top disk from peg I to peg
 III.  A state keeps each peg as a stack listed bottom to top; radii
 must increase strictly downward, so the top of a peg is its last entry
-and always its smallest disk.
+and always its smallest disk.  One rule decides every move: each peg
+stands on a floor of radius N + 1, and a move is legal exactly when
+the top of its source is smaller than the top of its target.
 
 ``simulate`` replays a move word from the standard start (all disks on
 peg I), recording for every sub-tower size the first step at which
@@ -33,10 +35,11 @@ MOVE_PEGS = {"a": (0, 1), "b": (1, 2), "c": (2, 0),
 _PEG_MOVE = {pegs: move for move, pegs in MOVE_PEGS.items()}
 PEG_NAMES = ("I", "II", "III")
 
-# scan budgets for squarefree_check (see that function)
+# budgets: squarefree_check scans (see there) and solution moves (moves_budget)
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
 _CAPPED_PERIOD = 64
+_MOVES_MAX = 1 << 26
 
 
 class IllegalMoveError(ValueError):
@@ -147,35 +150,38 @@ class HanoiState:
         if move not in MOVE_PEGS:
             raise ValueError(f"unknown move {move!r}")
         src, dst = MOVE_PEGS[move]
-        source = self.pegs[src]
-        if not source:
-            raise EmptySourceError(f"move {move}: peg {PEG_NAMES[src]} is empty")
-        disk = source[-1]
-        target = self.pegs[dst]
-        if target and target[-1] < disk:
-            raise DiskOrderError(
-                f"move {move}: disk {disk} cannot cover smaller disk "
-                f"{target[-1]} on peg {PEG_NAMES[dst]}")
+        floor = (self.disks + 1,)
+        source, target = floor + self.pegs[src], floor + self.pegs[dst]
+        if not source[-1] < target[-1]:
+            raise _refusal(move, source[-1], target[-1], floor[0])
         stacks = list(self.pegs)
-        stacks[src] = source[:-1]
-        stacks[dst] = target + (disk,)
+        stacks[src] = source[1:-1]
+        stacks[dst] = target[1:] + source[-1:]
         return HanoiState(tuple(stacks))
+
+
+def _refusal(move: str, disk: int, below: int, floor: int) -> IllegalMoveError:
+    """Error for `move` putting `disk` on `below`; disk == floor: a bare source."""
+    src, dst = MOVE_PEGS[move]
+    if disk == floor:
+        return EmptySourceError(f"move {move}: peg {PEG_NAMES[src]} is empty")
+    return DiskOrderError(f"move {move}: disk {disk} cannot cover smaller disk "
+                          f"{below} on peg {PEG_NAMES[dst]}")
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Replay record: executed moves, per-step legality, completion events.
+    """Replay record: executed moves, completion events, final state.
 
     Events are (step, size, peg) triples marking the first step at which
     disks 1..size stand together on the named non-initial peg; steps are
-    1-based.  ``error`` carries the diagnosis of the aborting step, if any.
+    1-based.  ``error`` carries the diagnosis of the aborting step, if any;
+    that step is the last of ``moves`` and the only illegal one.
     """
 
     disks: int
     variant: Variant
-    initial: HanoiState
     moves: tuple[str, ...]
-    legal: tuple[bool, ...]
     events: tuple[tuple[int, int, str], ...]
     final: HanoiState
     error: Optional[str] = None
@@ -183,6 +189,16 @@ class Trace:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def initial(self) -> HanoiState:
+        return HanoiState.initial(self.disks)
+
+    @property
+    def legal(self) -> tuple[bool, ...]:
+        """Per executed move, whether it was legal."""
+        refused = 0 if self.ok else 1
+        return (True,) * (len(self.moves) - refused) + (False,) * refused
 
     def event_for(self, size: int) -> Optional[tuple[int, int, str]]:
         for event in self.events:
@@ -203,59 +219,50 @@ class Trace:
         }
 
 
-def _move_tokens(moves) -> list[str]:
-    if isinstance(moves, Word):
-        return list(moves.tokens())
-    if isinstance(moves, str):
-        return moves.split()
-    return list(moves)
-
-
 def simulate(moves, disks: int, variant: Variant = CLASSICAL) -> Trace:
-    """Replay a move word on N disks from the standard start."""
-    tokens = _move_tokens(moves)
-    pegs: list[list[int]] = [list(range(disks, 0, -1)), [], []]
-    peg_of = [0] * (disks + 1)
-    seen = [False] * (disks + 1)
-    executed: list[str] = []
-    legal: list[bool] = []
+    """Replay a move word (a Word, a spaced string or a sequence of move
+    letters) on N disks from the standard start."""
+    tokens = moves.tokens() if isinstance(moves, Word) else tuple(
+        moves.split() if isinstance(moves, str) else moves)
+    floor = disks + 1
+    pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
     events: list[tuple[int, int, str]] = []
+    done = 0  # disks 1..done have stood together on a non-initial peg
     error = None
+    step = 0
     for step, move in enumerate(tokens, start=1):
-        if move not in MOVE_PEGS:
-            raise VariantViolationError(f"unknown move {move!r} at step {step}")
         if move not in variant.moves:
             raise VariantViolationError(
+                f"unknown move {move!r} at step {step}" if move not in MOVE_PEGS else
                 f"move {move} is not allowed in the {variant.name} variant (step {step})")
         src, dst = MOVE_PEGS[move]
-        executed.append(move)
-        if not pegs[src]:
-            legal.append(False)
-            error = f"step {step}, move {move}: peg {PEG_NAMES[src]} is empty"
+        source, target = pegs[src], pegs[dst]
+        disk = source[-1]
+        if not disk < target[-1]:
+            error = f"step {step}, {_refusal(move, disk, target[-1], floor)}"
             break
-        disk = pegs[src][-1]
-        if pegs[dst] and pegs[dst][-1] < disk:
-            legal.append(False)
-            error = (f"step {step}, move {move}: disk {disk} cannot cover smaller "
-                     f"disk {pegs[dst][-1]} on peg {PEG_NAMES[dst]}")
-            break
-        pegs[src].pop()
-        pegs[dst].append(disk)
-        peg_of[disk] = dst
-        legal.append(True)
-        if disks:
-            home = peg_of[1]
-            if home != 0:
-                size = 1
-                while size < disks and peg_of[size + 1] == home:
-                    size += 1
-                for n in range(1, size + 1):
-                    if not seen[n]:
-                        seen[n] = True
-                        events.append((step, n, PEG_NAMES[home]))
-    final = HanoiState(tuple(tuple(p) for p in pegs))
-    return Trace(disks, variant, HanoiState.initial(disks), tuple(executed),
-                 tuple(legal), tuple(events), final, error)
+        target.append(source.pop())
+        # disk 1 stays on top of any tower 1..k, so one can only form as disk
+        # 1 lands; entry k + 1 from the top is k + 1 exactly when it has
+        if disk == 1 and dst:
+            while len(target) > done + 1 and target[-done - 1] == done + 1:
+                done += 1
+                events.append((step, done, PEG_NAMES[dst]))
+    final = HanoiState(tuple(tuple(p[1:]) for p in pegs))
+    return Trace(disks, variant, tokens[:step], tuple(events), final, error)
+
+
+def classical_target(disks: int) -> str:
+    """Where 2^N - 1 classical moves take N disks: II for odd N, III for even."""
+    return "II" if disks % 2 else "III"
+
+
+def moves_budget(disks: int) -> int:
+    """Moves one solution may make; refuses N disks if 2^N - 1 exceeds it."""
+    if disks >= (_MOVES_MAX + 1).bit_length():
+        raise ValueError(f"moves budget exceeded: {disks} disks need at least "
+                         f"2^{disks} - 1 moves, more than {_MOVES_MAX}")
+    return _MOVES_MAX
 
 
 def verify_classical_prefix(disks: int) -> bool:
@@ -263,15 +270,13 @@ def verify_classical_prefix(disks: int) -> bool:
     tower to peg II (N odd) or III (N even), completing exactly at the end?"""
     if disks < 1:
         raise ValueError("disk count must be >= 1")
+    moves_budget(disks)
     steps = 2 ** disks - 1
     word = catalog_lookup("classical-hanoi").prefix(steps)
     trace = simulate(word, disks, CLASSICAL)
-    if not trace.ok:
-        return False
-    target = 1 if disks % 2 else 2
-    if trace.event_for(disks) != (steps, disks, PEG_NAMES[target]):
-        return False
-    return trace.final.pegs[target] == tuple(range(disks, 0, -1))
+    target = classical_target(disks)
+    return (trace.ok and trace.event_for(disks) == (steps, disks, target)
+            and trace.final.pegs[peg_index(target)] == tuple(range(disks, 0, -1)))
 
 
 def bfs_optimal(variant: Variant, disks: int,
@@ -294,6 +299,7 @@ def bfs_optimal(variant: Variant, disks: int,
     moves = [m for m in MOVE_ORDER if m in variant.moves]
     move_pegs = [MOVE_PEGS[m] for m in moves]
     weights = [3 ** d for d in range(disks)]
+    floor = disks + 1
     start = sum(w * src for w in weights)
     goal = sum(w * dst for w in weights)
     parent: dict[int, Optional[tuple[int, str]]] = {start: None}
@@ -302,20 +308,19 @@ def bfs_optimal(variant: Variant, disks: int,
         state = queue.popleft()
         if state == goal:
             break
-        tops = [0, 0, 0]  # smallest disk per peg, 0 for empty
+        tops = [floor, floor, floor]  # smallest disk per peg
         rest = state
         for disk in range(1, disks + 1):
             rest, peg = divmod(rest, 3)
-            if tops[peg] == 0:
+            if disk < tops[peg]:
                 tops[peg] = disk
         for move, (a, b) in zip(moves, move_pegs):
             disk = tops[a]
-            if disk == 0 or (tops[b] and tops[b] < disk):
-                continue
-            nxt = state + (b - a) * weights[disk - 1]
-            if nxt not in parent:
-                parent[nxt] = (state, move)
-                queue.append(nxt)
+            if disk < tops[b]:
+                nxt = state + (b - a) * weights[disk - 1]
+                if nxt not in parent:
+                    parent[nxt] = (state, move)
+                    queue.append(nxt)
     if goal not in parent:
         raise UnreachableError(
             f"peg {PEG_NAMES[dst]} unreachable from {PEG_NAMES[src]} with "
@@ -339,31 +344,25 @@ def olive_solve(disks: int, target: Union[str, int]) -> Word:
     """
     if disks < 1:
         raise ValueError("disk count must be >= 1")
+    moves_budget(disks)
     dst = peg_index(target)
     if dst == 0:
         raise ValueError("target must be II or III")
-    forward = (dst == 1) == (disks % 2 == 1)
-    step_dir = 1 if forward else -1
-    pegs: list[list[int]] = [list(range(disks, 0, -1)), [], []]
+    step_dir = 1 if PEG_NAMES[dst] == classical_target(disks) else -1
+    floor = disks + 1
+    pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
     home = 0
     out: list[str] = []
     for step in range(1, 2 ** disks):
         if step % 2:
             nxt = (home + step_dir) % 3
             out.append(_PEG_MOVE[(home, nxt)])
-            pegs[home].pop()
-            pegs[nxt].append(1)
+            pegs[nxt].append(pegs[home].pop())
             home = nxt
         else:
-            i, j = (p for p in range(3) if p != home)
-            top_i = pegs[i][-1] if pegs[i] else None
-            top_j = pegs[j][-1] if pegs[j] else None
-            if top_i is None and top_j is None:
-                raise RuntimeError("no move available away from the smallest disk")
-            if top_j is None or (top_i is not None and top_i < top_j):
-                a, b = i, j
-            else:
-                a, b = j, i
+            # the optimal walk passes no whole tower: never two bare pegs here
+            i, j = (home + 1) % 3, (home + 2) % 3
+            a, b = (i, j) if pegs[i][-1] < pegs[j][-1] else (j, i)
             out.append(_PEG_MOVE[(a, b)])
             pegs[b].append(pegs[a].pop())
     return Word.from_tokens(HANOI_ALPHABET, out)

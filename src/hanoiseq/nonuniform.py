@@ -10,7 +10,7 @@ and splits g(b)g(c) = z t into two pieces of different lengths that
 become the images of b' and c'.  The result is non-uniform, its fixed
 point maps back onto the original one under the coding that drops the
 primes, and the images of whole blocks of twice the uniform width
-commute with that coding.  ``validate_construction`` checks all of this
+commute with that coding.  ``validation_failures`` checks all of this
 on finite prefixes.
 """
 
@@ -65,13 +65,11 @@ def find_expanding_letter(m: Morphism, start: str) -> tuple[str, int]:
     candidates = [i for i in range(len(m.domain.symbols))
                   if i != start_idx and i in reachable]
     bound = 2 * len(m.domain.symbols)
-    current = m
     for power in range(1, bound + 1):
+        current = m.power(power)
         for i in candidates:
             if np.count_nonzero(current.images[i].indices == i) >= 2:
                 return m.domain.symbols[i], power
-        current = Morphism(m.domain, m.codomain,
-                           tuple(current.apply(img) for img in m.images))
     raise ConstructionError(
         f"no expanding letter distinct from {start!r} found up to power {bound}")
 
@@ -282,8 +280,3 @@ def _first_noncommuting_block(construction: Construction, primed: Word) -> Optio
     if differ.size:
         return int(np.searchsorted(ends, differ[0], side="right"))
     return aligned if uneven.size else None
-
-
-def validate_construction(construction: Construction, length: int) -> bool:
-    """True when all three prefix checks pass; see validation_failures."""
-    return not validation_failures(construction, length)

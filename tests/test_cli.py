@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hanoiseq import cli
+from hanoiseq import cli, hanoi
 from hanoiseq.catalog import HANOI_ALPHABET
 from hanoiseq.classicseq import IntSequence
 from hanoiseq.cli import _build_parser, run
@@ -110,6 +110,37 @@ class TestHanoi:
         out, err = out_of(capsys)
         assert out == ""
         assert err == "error: disk count must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", ["solve --disks 11", "solve --disks 11 --olive",
+                                      "verify --disks 11", "solve --variant lazy --disks 7"])
+    def test_moves_budget(self, argv, monkeypatch, capsys):
+        # classical needs 2047 moves and is refused up front; lazy needs 1093
+        # and gives up once a 1024-symbol prefix completes no tower
+        monkeypatch.setattr(hanoi, "_MOVES_MAX", 1 << 10)
+        assert run(["hanoi", *argv.split()]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: moves budget exceeded: ") and " 1024" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", [1 << 10, 1 << 26])
+    @pytest.mark.parametrize("command", ["solve", "solve --olive", "verify"])
+    def test_moves_budget_refuses_before_work(self, command, budget, monkeypatch, capsys):
+        monkeypatch.setattr(hanoi, "_MOVES_MAX", budget)
+        monkeypatch.setattr(cli, "catalog_prefix", _refuse)
+        monkeypatch.setattr(hanoi, "catalog_lookup", _refuse)
+        disks = budget.bit_length()
+        assert run(["hanoi", *command.split(), "--disks", str(disks)]) == 2
+        _, err = out_of(capsys)
+        assert err == (f"error: moves budget exceeded: {disks} disks need at least "
+                       f"2^{disks} - 1 moves, more than {budget}\n")
+
+    def test_moves_budget_admits_2_to_the_n_minus_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(hanoi, "_MOVES_MAX", 1 << 10)
+        assert run(["hanoi", "verify", "--disks", "10"]) == 0
+        assert run(["hanoi", "solve", "--disks", "10", "--olive"]) == 0
+        assert run(["hanoi", "solve", "--disks", "10", "--format", "json"]) == 0
+        assert json.loads(out_of(capsys)[0].splitlines()[-1])["steps"] == 1023
 
     def test_bfs(self, capsys):
         assert run(["hanoi", "bfs", "--variant", "classical", "--disks", "4",

@@ -4,16 +4,18 @@ words against plain-Python reference implementations kept here."""
 import types
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hanoiseq import hanoi
 from hanoiseq.algebra import Relation, poly_gcd
 from hanoiseq.automaton import dfao_from_uniform_morphism
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.classicseq import derive_U, derive_Z
 from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
-                                 construct_nonuniform, validate_construction)
+                                 construct_nonuniform, validation_failures)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
 from hanoiseq.words import Alphabet, Coding, Morphism, MorphicSpec, Word
 
@@ -128,7 +130,7 @@ def test_construction_validates_or_raises(images):
         construction = construct_nonuniform(spec.morphism, spec.start)
     except ConstructionError:
         return
-    assert validate_construction(construction, 512)
+    assert not validation_failures(construction, 512)
 
 
 def reference_noncommuting_block(construction, primed):
@@ -258,3 +260,117 @@ def test_relation_normalized_is_idempotent(data, q):
     for p in once.polys:
         common = poly_gcd(common, p, q)
     assert len(common) == 1  # no common factor left
+
+
+def reference_replay(tokens, disks, variant):
+    """Plain replay that rescans the peg of every disk after each move; the
+    message of a variant violation, or the trace as ``Trace.to_json`` gives it."""
+    pegs = [list(range(disks, 0, -1)), [], []]
+    peg_of = [0] * (disks + 1)
+    seen = [False] * (disks + 1)
+    moves, legal, events, error = [], [], [], None
+    for step, move in enumerate(tokens, start=1):
+        if move not in hanoi.MOVE_PEGS:
+            return f"unknown move {move!r} at step {step}"
+        if move not in variant.moves:
+            return f"move {move} is not allowed in the {variant.name} variant (step {step})"
+        src, dst = hanoi.MOVE_PEGS[move]
+        moves.append(move)
+        if not pegs[src]:
+            legal.append(False)
+            error = f"step {step}, move {move}: peg {hanoi.PEG_NAMES[src]} is empty"
+            break
+        disk = pegs[src][-1]
+        if pegs[dst] and pegs[dst][-1] < disk:
+            legal.append(False)
+            error = (f"step {step}, move {move}: disk {disk} cannot cover smaller "
+                     f"disk {pegs[dst][-1]} on peg {hanoi.PEG_NAMES[dst]}")
+            break
+        pegs[dst].append(pegs[src].pop())
+        peg_of[disk] = dst
+        legal.append(True)
+        home = peg_of[1] if disks else 0
+        if home:
+            size = 1
+            while size < disks and peg_of[size + 1] == home:
+                size += 1
+            for n in range(1, size + 1):
+                if not seen[n]:
+                    seen[n] = True
+                    events.append([step, n, hanoi.PEG_NAMES[home]])
+    return {"disks": disks, "variant": variant.name,
+            "initial": [list(range(disks, 0, -1)), [], []], "moves": moves,
+            "legal": legal, "events": events, "final": pegs, "error": error}
+
+
+def replay(tokens, disks, variant):
+    try:
+        return hanoi.simulate(tokens, disks, variant).to_json()
+    except hanoi.VariantViolationError as exc:
+        return str(exc)
+
+
+def is_legal(pegs, move):
+    # the definition: a disk to move, and nothing smaller where it lands
+    src, dst = hanoi.MOVE_PEGS[move]
+    return bool(pegs[src]) and (not pegs[dst] or pegs[src][-1] < pegs[dst][-1])
+
+
+@st.composite
+def move_words(draw):
+    """A variant, 0-6 disks and a walk of mostly legal moves, so that towers
+    form; about one move in ten is any of the variant's moves (often
+    illegal), and some words end in a move outside the variant."""
+    variant = draw(st.sampled_from(sorted(hanoi.VARIANTS.values(), key=lambda v: v.name)))
+    disks = draw(st.integers(0, 6))
+    allowed = [m for m in hanoi.MOVE_ORDER if m in variant.moves]
+    pegs = [list(range(disks, 0, -1)), [], []]
+    tokens = []
+    for _ in range(draw(st.integers(0, 120))):
+        legal = [m for m in allowed if is_legal(pegs, m)]
+        move = draw(st.sampled_from(legal if legal and draw(st.integers(0, 9)) else allowed))
+        tokens.append(move)
+        if not is_legal(pegs, move):
+            break
+        src, dst = hanoi.MOVE_PEGS[move]
+        pegs[dst].append(pegs[src].pop())
+    foreign = [m for m in hanoi.MOVE_ORDER if m not in variant.moves] + ["x"]
+    if draw(st.integers(0, 9)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(foreign)))
+    return tokens, disks, variant
+
+
+@PROPERTY
+@given(move_words())
+def test_simulate_matches_reference_replay(case):
+    tokens, disks, variant = case
+    assert replay(tokens, disks, variant) == reference_replay(tokens, disks, variant)
+    word = " ".join(tokens)
+    assert replay(word, disks, variant) == reference_replay(word.split(), disks, variant)
+
+
+def test_simulate_matches_reference_on_catalog_prefixes():
+    for name, variant in (("classical-hanoi", hanoi.CLASSICAL),
+                          ("cyclic-hanoi", hanoi.CYCLIC), ("lazy-hanoi", hanoi.LAZY)):
+        for disks in range(0, 7):
+            word = catalog_prefix(name, 3 ** disks + 5)
+            assert replay(word, disks, variant) == \
+                reference_replay(word.tokens(), disks, variant), (name, disks)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2), max_size=7), st.sampled_from(hanoi.MOVE_ORDER))
+def test_apply_accepts_exactly_a_smaller_disk_onto_a_larger(places, move):
+    # disk d goes on peg places[d - 1]; placing the largest first keeps pegs sorted
+    pegs = [[], [], []]
+    for disk in range(len(places), 0, -1):
+        pegs[places[disk - 1]].append(disk)
+    state = hanoi.HanoiState(tuple(tuple(p) for p in pegs))
+    src, dst = hanoi.MOVE_PEGS[move]
+    if is_legal(pegs, move):
+        pegs[dst].append(pegs[src].pop())
+        assert state.apply(move) == hanoi.HanoiState(tuple(tuple(p) for p in pegs))
+    else:
+        refusal = hanoi.DiskOrderError if pegs[src] else hanoi.EmptySourceError
+        with pytest.raises(refusal):
+            state.apply(move)
