@@ -6,6 +6,8 @@ The first 71 digests were recorded before the array-backed word storage
 replaced tuple-backed words.  The JSON renderings of the remaining commands,
 the exit-1 paths and the usage errors of ``USAGE_ERRORS`` were recorded
 before the commands were made to return their result to a single renderer.
+``PARSING_SURFACE`` (help texts, usage errors and the argparse edge cases)
+was recorded while every request still built the parser of all commands.
 Update an entry only for a deliberate change of output.
 """
 
@@ -140,6 +142,65 @@ USAGE_ERRORS = [
      'error: the alternating solver applies to the classical variant only\n'),
 ]
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr) of what argparse
+# answers itself, at 80 columns: help exits 0 through SystemExit, a parse
+# error exits 2 through SystemExit, no command returns 2 after the usage line
+PARSING_SURFACE = [
+    # help at the top level, at each group and for every command
+    ('--help', 0, "935c2b8ae6c43c2b129ba395d00e1943b653c73b256ed0c307fd0a9323051028", EMPTY),
+    ('-h', 0, "935c2b8ae6c43c2b129ba395d00e1943b653c73b256ed0c307fd0a9323051028", EMPTY),
+    ('hanoi --help', 0, "38d9979ec9836c3c7b56849646469807408aeef900760413774d1da58f4f082b", EMPTY),
+    ('christol --help', 0, "12f51e2401744708d13ce7019680e61b05c094ea127f4d0ca8c188c714b80881", EMPTY),
+    ('generate --help', 0, "dd9367c2f842d80368d766683b1233d03160336e0a3b542b953268ccf8ad8bb7", EMPTY),
+    ('compare --help', 0, "ae1a65c80fdb4c3efa52000a91af189f11c0caf79f7fa68039c500ce28c8d5e8", EMPTY),
+    ('hanoi solve --help', 0, "3ac984d2e3261a1cda9eb506ac73115b3238abd1f01d270ba13ff4c5f9b72621", EMPTY),
+    ('hanoi verify --help', 0, "3fadddc109b258b5ec505a6b8ccc08c4debaa0e4f40e445ec2f8d235987f172a", EMPTY),
+    ('hanoi bfs --help', 0, "18ede89424bca316a5999c3920e79adbf0d49e8b741070b747ab5c872684d9af", EMPTY),
+    ('toeplitz --help', 0, "8318f119cfced13d41ca234bea2a5940de9ed0b5fa2008ab8d4097e31fa75cfc", EMPTY),
+    ('census --help', 0, "5ce561a49176e35fd439470d35bac4ad60481a1a9a20ac55f2c423ed0f05d10a", EMPTY),
+    ('squarefree --help', 0, "e5491fc17a24b7ba85f8426b9926e593b5a9751575332b7243e39967336cbb56", EMPTY),
+    ('kernel --help', 0, "9b1a81a85070b39998454c3dc1cec3f4199a248b6445781e7bbef66ce4ac7cda", EMPTY),
+    ('construct-nonuniform --help', 0, "3019c4b80ffeb6b5d719badfc9899c7540351747be6c735146da5c5c37144697", EMPTY),
+    ('christol verify --help', 0, "801036b9c99d7065797686936eb21e25a96bcb06929ee913a7d5fb9850ba3f9b", EMPTY),
+    ('christol search --help', 0, "d927a4b004163430380a07748ffa248e997bc19278e74eceaa7df43638cdfb83", EMPTY),
+    ('derive --help', 0, "29c2b954d1f94c855a71b15754e78a039ed009922e25fcdee3b66b12efa328fe", EMPTY),
+    ('eval --help', 0, "73a1f35d0b60d82ab5175d750e478683e8e0ee8d7fbd4689e6d5d8f903c04082", EMPTY),
+    # no command, a group without its command, unknown names
+    ('', 2, EMPTY, "4cbcf5b6e6cd35bc1f33421050c8a9cfd80e69508a150d4b57955ff73390285e"),
+    ('hanoi', 2, EMPTY, "4cbcf5b6e6cd35bc1f33421050c8a9cfd80e69508a150d4b57955ff73390285e"),
+    ('christol', 2, EMPTY, "4cbcf5b6e6cd35bc1f33421050c8a9cfd80e69508a150d4b57955ff73390285e"),
+    ('frobnicate', 2, EMPTY, "b0f115e174238f62c4108c063e88d03f9a96b26bb4180faca07b2258bffba075"),
+    ('hanoi frobnicate --disks 3', 2, EMPTY, "a62a2015bf77538b838d8593f3c6450a2e5c53d0fa793d88641ee3a437187b56"),
+    ('christol frobnicate', 2, EMPTY, "a392406050ea9adf7d05290de68d3970aac0520c01a31484b1b07fdcafc28258"),
+    # a missing required option, a bad int, bad choices
+    ('generate classical-hanoi', 2, EMPTY, "2a4e48e6c1f621c2785ec2321cf78578d9bdbe3d03985d1eb2473d9c5a6cdde5"),
+    ('hanoi solve', 2, EMPTY, "4a74579a382b418e803cb28028f5618fccd8af1fc56c359e6e17e848871c0c37"),
+    ('toeplitz --length 8', 2, EMPTY, "775a90b46a52da343046ac37f035cc95b3124badd7147b17154c6c01a356073c"),
+    ('generate classical-hanoi --length ten', 2, EMPTY, "f33c18bd3c531d8901bcb29eef1ac5360abbb9b1e186a7899daa67be840b6768"),
+    ('hanoi bfs --disks 3 --source IV', 2, EMPTY, "522a0399174afbbd0aa6475c7bb3744be8c5b7abf6cd0c3f06cb929f86b283d6"),
+    ('derive --what W --length 8', 2, EMPTY, "443e526aca855d18b8c6a59b5e51554af01eb3b160786fdde7c72a0abbf3cc5b"),
+    ('generate thue-morse --length 8 --format xml', 2, EMPTY, "935473bfad0ccf1b0dca82f779644daabd2f3a8a6bda8e202aa91e945516294e"),
+    # leftover arguments: argparse reports them with the top-level prog
+    ('generate thue-morse --length 8 --bogus', 2, EMPTY, "9251bc2c7aeb8ac9eb0496f93744affc03d958500346e111abcaf2b606cd7302"),
+    ('hanoi verify --disks 3 extra', 2, EMPTY, "1b00db5487c09eae396eb8cc2fd861d29b5e46fc0a5dc7c361d3b149f26042c9"),
+    ('compare thue-morse period-doubling fibonacci --length 8', 2, EMPTY, "c692a3c1a8d9c2ff6c0f39dd20000452f39421bb088306f9eac5d240ceb91088"),
+    # --format before the command, and arguments after --
+    ('--format json generate thue-morse --length 8', 2, EMPTY, "52bbb0ed2181d7c832cdd675d64bace2630093b55182540250cc63caf07f5f29"),
+    ('generate --length 8 -- thue-morse', 0, "d123146a32914e56e46b3840063b5118a682e5cd945b1b116f25c3b501db0b77", EMPTY),
+    ('generate thue-morse --length 8 -- extra', 2, EMPTY, "dbd88ae5c22290b6c7fd8b95e16504a22cec82e406a9c58143d1992744b267d7"),
+    ('-- generate thue-morse --length 8', 2, EMPTY, "8dd72d239d6a59337a81fdcb41b0d9ac46392c860a74764cd429f9e9da5fb17c"),
+    ('hanoi -- solve --disks 2', 2, EMPTY, "1ee1578449815bb3799733e4d8a37cd497189e669dd919c7875cb65c4050adfa"),
+    # abbreviated options, and an option argument glued to -h
+    ('generate thue-morse --len 8 --form json', 0, "645e9477283f8a9ee9d8d43f2c5a83814a81f2b4e8f6759b22ef513c7ea3d58d", EMPTY),
+    ('-hx', 2, EMPTY, "d02499906cd6a1ffd2c19aaca625af86c91d516715e91e2d8ebf3ec372de70f8"),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_stdout_digest(argv, code, digest, capsys):
@@ -152,3 +213,16 @@ def test_stdout_digest(argv, code, digest, capsys):
 def test_usage_error(argv, code, err, capsys):
     assert run(shlex.split(argv)) == code
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSING_SURFACE,
+                         ids=[p[0] or "(none)" for p in PARSING_SURFACE])
+def test_parsing_surface(argv, code, out, err, capsys, monkeypatch):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = run(shlex.split(argv))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (status, _digest(captured.out), _digest(captured.err)) == (code, out, err)
