@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
+from . import hanoi
 from .algebra import (InsufficientTruncationError, evaluate_relation,
                       find_algebraic_relation, period_doubling_relation,
                       series_from_sequence)
@@ -345,130 +347,191 @@ def cmd_eval(args) -> Result:
     return status, lines, payload
 
 
-def _set_command(parser, func) -> None:
+def _arg(*flags, **options):
+    return flags, options
+
+
+class Command(NamedTuple):
+    """One CLI command: its help line, its arguments in order, the name of
+    its handler in this module and the budget constant in ``hanoi`` that
+    caps each sized option."""
+
+    help: str
+    arguments: tuple
+    handler: str
+    budgets: dict = {}
+
+
+_VARIANT = _arg("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
+_LENGTH = {"--length": "_LENGTH_MAX"}
+_ORDER = {"--order": "_ORDER_MAX"}
+
+GROUPS = {"hanoi": "puzzle solving and verification",
+          "christol": "algebraic relations of series over F_q"}
+
+# Every command, by its path from the top level, in the order of the help.
+COMMANDS = {
+    ("generate",): Command("print a prefix of a catalog sequence", (
+        _arg("name", help="catalog name, e.g. classical-hanoi"),
+        _arg("--length", type=int, required=True),
+    ), "cmd_generate", _LENGTH),
+    ("compare",): Command("compare two catalog sequences", (
+        _arg("name_a"),
+        _arg("name_b"),
+        _arg("--length", type=int, required=True),
+    ), "cmd_compare", _LENGTH),
+    ("hanoi", "solve"): Command("solve by sequence truncation or the alternating rule", (
+        _VARIANT,
+        _arg("--disks", type=int, required=True),
+        _arg("--target", choices=("II", "III")),
+        _arg("--olive", action="store_true",
+             help="use the alternating smallest-disk rule"),
+        _arg("--check-optimal", action="store_true",
+             help="cross-check the move count against breadth-first search"),
+    ), "cmd_hanoi_solve"),
+    ("hanoi", "verify"): Command("check the classical prefix solves N disks", (
+        _arg("--disks", type=int, required=True),
+    ), "cmd_hanoi_verify"),
+    ("hanoi", "bfs"): Command("optimal move count by breadth-first search", (
+        _VARIANT,
+        _arg("--disks", type=int, required=True),
+        _arg("--source", default="I", choices=("I", "II", "III")),
+        _arg("--target", default="II", choices=("I", "II", "III")),
+    ), "cmd_hanoi_bfs", {"--disks": "_BFS_DISKS_MAX"}),
+    ("toeplitz",): Command("expand a periodic pattern with holes", (
+        _arg("--pattern", required=True,
+             help="whitespace-separated tokens, '.' for the hole"),
+        _arg("--length", type=int, required=True),
+        _arg("--expect", help="catalog name the expansion should equal"),
+    ), "cmd_toeplitz", _LENGTH),
+    ("census",): Command("distinct width-letter blocks of a sequence", (
+        _arg("--seq", required=True),
+        _arg("--width", type=int, required=True),
+        _arg("--aligned", action="store_true"),
+        _arg("--length", type=int, default=4096),
+    ), "cmd_census", _LENGTH),
+    ("squarefree",): Command("scan a prefix for squares ww", (
+        _arg("--seq", required=True),
+        _arg("--length", type=int, required=True),
+        _arg("--max-period", type=int),
+    ), "cmd_squarefree", {"--length": "_CAPPED_SCAN_MAX"}),
+    ("kernel",): Command("finite-prefix kernel class evidence", (
+        _arg("--seq", required=True),
+        _arg("--radix", type=int, default=2),
+        _arg("--depth", type=int, default=8),
+        _arg("--length", type=int, default=2 ** 16),
+    ), "cmd_kernel", _LENGTH),
+    ("construct-nonuniform",): Command(
+        "non-uniform presentation of a uniform catalog morphism", (
+            _arg("--seq", required=True),
+            _arg("--validate", type=int, metavar="L",
+                 help="validate the construction on an L-symbol prefix"),
+        ), "cmd_construct"),
+    ("christol", "verify"): Command("check the period-doubling series relation", (
+        _arg("--order", type=int, default=4096),
+    ), "cmd_christol_verify", _ORDER),
+    ("christol", "search"): Command("search for a low-degree relation", (
+        _arg("--seq", required=True),
+        _arg("--modulus", type=int, default=2),
+        _arg("--dmax", type=int, default=2),
+        _arg("--coeff-degree", type=int, default=2),
+        _arg("--order", type=int, default=512),
+        _arg("--map", help="symbol values, e.g. a=0,b=1"),
+    ), "cmd_christol_search", _ORDER),
+    ("derive",): Command("classical projections T, U, V, Z", (
+        _arg("--what", choices=("T", "U", "V", "Z"), required=True),
+        _arg("--length", type=int, required=True),
+        _arg("--check", action="store_true",
+             help="verify the defining cross-identity"),
+    ), "cmd_derive"),
+    ("eval",): Command("evaluate one term through the automaton", (
+        _arg("--seq", required=True),
+        _arg("--index", type=int),
+        _arg("--check-prefix", type=int, metavar="L",
+             help="compare automaton output with the prefix for n < L"),
+    ), "cmd_eval"),
+}
+
+
+def _add_arguments(parser, command: Command):
+    for flags, options in command.arguments:
+        parser.add_argument(*flags, **options)
     # --format goes last so that every usage line ends with it
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    parser.set_defaults(func=func)
+    # looked up per request, so that a rebound cmd_* attribute is the one called
+    parser.set_defaults(func=globals()[command.handler])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hanoiseq",
         description="Tower of Hanoi move sequences, morphisms and automata")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("generate", help="print a prefix of a catalog sequence")
-    p.add_argument("name", help="catalog name, e.g. classical-hanoi")
-    p.add_argument("--length", type=int, required=True)
-    _set_command(p, cmd_generate)
-
-    p = sub.add_parser("compare", help="compare two catalog sequences")
-    p.add_argument("name_a")
-    p.add_argument("name_b")
-    p.add_argument("--length", type=int, required=True)
-    _set_command(p, cmd_compare)
-
-    p = sub.add_parser("hanoi", help="puzzle solving and verification")
-    hanoi_sub = p.add_subparsers(dest="hanoi_command")
-
-    ps = hanoi_sub.add_parser("solve", help="solve by sequence truncation or the alternating rule")
-    ps.add_argument("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
-    ps.add_argument("--disks", type=int, required=True)
-    ps.add_argument("--target", choices=("II", "III"))
-    ps.add_argument("--olive", action="store_true",
-                    help="use the alternating smallest-disk rule")
-    ps.add_argument("--check-optimal", action="store_true",
-                    help="cross-check the move count against breadth-first search")
-    _set_command(ps, cmd_hanoi_solve)
-
-    pv = hanoi_sub.add_parser("verify", help="check the classical prefix solves N disks")
-    pv.add_argument("--disks", type=int, required=True)
-    _set_command(pv, cmd_hanoi_verify)
-
-    pb = hanoi_sub.add_parser("bfs", help="optimal move count by breadth-first search")
-    pb.add_argument("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
-    pb.add_argument("--disks", type=int, required=True)
-    pb.add_argument("--source", default="I", choices=("I", "II", "III"))
-    pb.add_argument("--target", default="II", choices=("I", "II", "III"))
-    _set_command(pb, cmd_hanoi_bfs)
-
-    p = sub.add_parser("toeplitz", help="expand a periodic pattern with holes")
-    p.add_argument("--pattern", required=True,
-                   help="whitespace-separated tokens, '.' for the hole")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--expect", help="catalog name the expansion should equal")
-    _set_command(p, cmd_toeplitz)
-
-    p = sub.add_parser("census", help="distinct width-letter blocks of a sequence")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--aligned", action="store_true")
-    p.add_argument("--length", type=int, default=4096)
-    _set_command(p, cmd_census)
-
-    p = sub.add_parser("squarefree", help="scan a prefix for squares ww")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--max-period", type=int)
-    _set_command(p, cmd_squarefree)
-
-    p = sub.add_parser("kernel", help="finite-prefix kernel class evidence")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--radix", type=int, default=2)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--length", type=int, default=2 ** 16)
-    _set_command(p, cmd_kernel)
-
-    p = sub.add_parser("construct-nonuniform",
-                       help="non-uniform presentation of a uniform catalog morphism")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--validate", type=int, metavar="L",
-                   help="validate the construction on an L-symbol prefix")
-    _set_command(p, cmd_construct)
-
-    p = sub.add_parser("christol", help="algebraic relations of series over F_q")
-    chris_sub = p.add_subparsers(dest="christol_command")
-
-    pv = chris_sub.add_parser("verify",
-                              help="check the period-doubling series relation")
-    pv.add_argument("--order", type=int, default=4096)
-    _set_command(pv, cmd_christol_verify)
-
-    ps = chris_sub.add_parser("search", help="search for a low-degree relation")
-    ps.add_argument("--seq", required=True)
-    ps.add_argument("--modulus", type=int, default=2)
-    ps.add_argument("--dmax", type=int, default=2)
-    ps.add_argument("--coeff-degree", type=int, default=2)
-    ps.add_argument("--order", type=int, default=512)
-    ps.add_argument("--map", help="symbol values, e.g. a=0,b=1")
-    _set_command(ps, cmd_christol_search)
-
-    p = sub.add_parser("derive", help="classical projections T, U, V, Z")
-    p.add_argument("--what", choices=("T", "U", "V", "Z"), required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="verify the defining cross-identity")
-    _set_command(p, cmd_derive)
-
-    p = sub.add_parser("eval", help="evaluate one term through the automaton")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--index", type=int)
-    p.add_argument("--check-prefix", type=int, metavar="L",
-                   help="compare automaton output with the prefix for n < L")
-    _set_command(p, cmd_eval)
-
+    top = parser.add_subparsers(dest="command")
+    groups = {}
+    for path, command in COMMANDS.items():
+        sub = top
+        if len(path) == 2:
+            if path[0] not in groups:
+                group = top.add_parser(path[0], help=GROUPS[path[0]])
+                groups[path[0]] = group.add_subparsers(dest=f"{path[0]}_command")
+            sub = groups[path[0]]
+        _add_arguments(sub.add_parser(path[-1], help=command.help), command)
     return parser
+
+
+class _ParseError(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseError(message)
+
+
+def _parse_one_command(argv):
+    """The namespace the full parser would give a request that names a
+    command, built from that command's parser alone.  None when the full
+    parser must answer: no command named, help above the command level, a
+    parse error, or leftover arguments (argparse reports those with the
+    top-level prog)."""
+    path = tuple(argv[:2] if argv[:1] and argv[0] in GROUPS else argv[:1])
+    if path not in COMMANDS:
+        return None
+    args = argparse.Namespace(command=path[0])
+    if len(path) == 2:
+        setattr(args, f"{path[0]}_command", path[1])
+    parser = _add_arguments(_OneCommandParser(prog=" ".join(("hanoiseq",) + path)),
+                            COMMANDS[path])
+    try:
+        args, extras = parser.parse_known_args(argv[len(path):], args)
+    except _ParseError:
+        return None
+    return None if extras else args
+
+
+def _check_budgets(args) -> None:
+    path = (args.command,)
+    if args.command in GROUPS:
+        path += (getattr(args, f"{args.command}_command"),)
+    for flag, name in COMMANDS[path].budgets.items():
+        value, limit = getattr(args, flag[2:]), getattr(hanoi, name)
+        if value > limit:
+            raise ValueError(f"input budget exceeded: {flag} {value} is more than {limit}")
 
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
+    args = _parse_one_command(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 2
     try:
+        _check_budgets(args)
         status, lines, payload = args.func(args)
         if payload is not None:
             _emit(args.format, lines, payload)

@@ -35,11 +35,15 @@ MOVE_PEGS = {"a": (0, 1), "b": (1, 2), "c": (2, 0),
 _PEG_MOVE = {pegs: move for move, pegs in MOVE_PEGS.items()}
 PEG_NAMES = ("I", "II", "III")
 
-# budgets: squarefree_check scans (see there) and solution moves (moves_budget)
+# budgets: squarefree_check scans (see there), solution moves (moves_budget)
+# and the sizes a CLI request may ask for (the command table in cli.py)
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
 _CAPPED_PERIOD = 64
 _MOVES_MAX = 1 << 26
+_LENGTH_MAX = 1 << 24  # prefix symbols: about 0.3 GB to print 2^24 as JSON
+_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
+_BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
 
 
 class IllegalMoveError(ValueError):
@@ -141,10 +145,6 @@ class HanoiState:
     @property
     def disks(self) -> int:
         return sum(len(p) for p in self.pegs)
-
-    def top(self, peg: int) -> Optional[int]:
-        stack = self.pegs[peg]
-        return stack[-1] if stack else None
 
     def apply(self, move: str) -> "HanoiState":
         if move not in MOVE_PEGS:

@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 
@@ -276,7 +277,7 @@ ONE_PER_COMMAND = (
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("rendering for the other format")
+    raise AssertionError("called where it must not be")
 
 
 class TestRendering:
@@ -315,3 +316,78 @@ class TestRendering:
         assert run(argv + ["--format", "json"]) == 0
         out, _ = out_of(capsys)
         assert json.loads(out)
+
+
+def _outcome(argv, capsys):
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *out_of(capsys))
+
+
+def _raise_full_parser():
+    raise AssertionError("full parser built for a request that names a command")
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_commands_run_without_the_full_parser(self, argv, fmt, monkeypatch, capsys):
+        argv = argv + ["--format", fmt]
+        monkeypatch.setattr(cli, "_parse_one_command", lambda argv: None)
+        expected = _outcome(argv, capsys)
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_build_parser", _raise_full_parser)
+        assert _outcome(argv, capsys) == expected
+        assert expected[0] in (0, 1) and expected[1]
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_handler_sees_the_full_parsers_namespace(self, argv, fmt):
+        assert (vars(cli._parse_one_command(argv + fmt))
+                == vars(_build_parser().parse_args(argv + fmt)))
+
+    def test_handlers_are_looked_up_per_request(self, monkeypatch, capsys):
+        # the traced benchmark run rebinds cmd_* in the module namespace
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: (0, ["stub"], {}))
+        assert run(["generate", "thue-morse", "--length", "8"]) == 0
+        assert out_of(capsys) == ("stub\n", "")
+
+
+# (argv without the value, budget constant in hanoi)
+BUDGETED = [
+    ("generate thue-morse --length", "_LENGTH_MAX"),
+    ("compare thue-morse period-doubling --length", "_LENGTH_MAX"),
+    ("toeplitz --pattern '0 . 1 .' --length", "_LENGTH_MAX"),
+    ("census --seq thue-morse --width 2 --length", "_LENGTH_MAX"),
+    ("squarefree --seq thue-morse --length", "_CAPPED_SCAN_MAX"),
+    ("kernel --seq thue-morse --length", "_LENGTH_MAX"),
+    ("christol verify --order", "_ORDER_MAX"),
+    ("christol search --seq period-doubling --order", "_ORDER_MAX"),
+    ("hanoi bfs --disks", "_BFS_DISKS_MAX"),
+]
+SMALL_BUDGET = {"_BFS_DISKS_MAX": 3}
+
+
+class TestInputBudgets:
+    @pytest.mark.parametrize("small", [True, False])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv,name", BUDGETED, ids=[b[0] for b in BUDGETED])
+    def test_refuses_before_work(self, argv, name, fmt, small, monkeypatch, capsys):
+        if small:
+            monkeypatch.setattr(hanoi, name, SMALL_BUDGET.get(name, 64))
+        limit = getattr(hanoi, name)
+        for work in ("catalog_prefix", "toeplitz_expand", "bfs_optimal"):
+            monkeypatch.setattr(cli, work, _refuse)
+        assert run(shlex.split(argv) + [str(limit + 1), "--format", fmt]) == 2
+        assert out_of(capsys) == ("", f"error: input budget exceeded: {argv.split()[-1]} "
+                                      f"{limit + 1} is more than {limit}\n")
+
+    @pytest.mark.parametrize("argv,name", BUDGETED, ids=[b[0] for b in BUDGETED])
+    def test_admits_the_limit(self, argv, name, monkeypatch, capsys):
+        monkeypatch.setattr(hanoi, name, SMALL_BUDGET.get(name, 64))
+        limit = getattr(hanoi, name)
+        # thue-morse holds a square within 64 symbols
+        assert run(shlex.split(argv) + [str(limit)]) in (0, 1)
+        assert out_of(capsys)[1] == ""

@@ -12,10 +12,13 @@ Update an entry only for a deliberate change of output.
 """
 
 import hashlib
+import json
 import shlex
+from pathlib import Path
 
 import pytest
 
+from hanoiseq import cli
 from hanoiseq.cli import run
 
 # (argv, exit code, sha256 of stdout): every catalog entry rendered as text
@@ -226,3 +229,36 @@ def test_parsing_surface(argv, code, out, err, capsys, monkeypatch):
         status = exc.code
     captured = capsys.readouterr()
     assert (status, _digest(captured.out), _digest(captured.err)) == (code, out, err)
+
+
+# the one-command parser declines every parse error, and the full parser
+# prints the pinned bytes
+PARSE_ERRORS = [p for p in PARSING_SURFACE if p[1] != 0]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSE_ERRORS,
+                         ids=[p[0] or "(none)" for p in PARSE_ERRORS])
+def test_parse_errors_fall_back_to_the_full_parser(argv, code, out, err,
+                                                   monkeypatch, capsys):
+    one_command = cli._parse_one_command
+    answers = []
+    monkeypatch.setattr(cli, "_parse_one_command",
+                        lambda argv: answers.append(one_command(argv)))
+    test_parsing_surface(argv, code, out, err, capsys, monkeypatch)
+    assert answers == [None]
+
+
+def test_budgets_admit_every_documented_request():
+    """The input budgets admit the pinned requests, the README examples and
+    every request of the benchmark, 10^6-symbol renders included."""
+    root = Path(__file__).resolve().parents[1]
+    readme = [line.split("#")[0].split(" ", 1)[1]
+              for line in (root / "README.md").read_text().splitlines()
+              if line.startswith("hanoiseq ")]
+    reference = json.loads((root / "bench" / "reference.json").read_text())
+    requests = ([g[0] for g in GOLDEN + USAGE_ERRORS] + readme
+                + list(reference["point-queries"])
+                + list(reference["bulk-prefix"]["render"]))
+    assert any("--length 1000000" in r for r in requests)
+    for request in requests:
+        cli._check_budgets(cli._parse_one_command(shlex.split(request)))
