@@ -2,8 +2,8 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 when a checked property turns out false, 2 on usage errors (unknown
-names, bad flags, out-of-range arguments).  Output is deterministic:
-the same argv always produces the same bytes.
+names, bad flags, out-of-range arguments, sizes past their budget).
+Output is deterministic: the same argv always produces the same bytes.
 """
 
 from __future__ import annotations
