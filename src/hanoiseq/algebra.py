@@ -1,6 +1,6 @@
 """Truncated formal power series over a prime field.
 
-A series is a coefficient tuple c[0], ..., c[order-1] with values
+A series is a coefficient array c[0], ..., c[order-1] with values
 reduced modulo a prime q; every operation works modulo X^order, with
 multiplication a schoolbook convolution cut off at the order.  A
 relation is an identity sum_i A_i(X) F^i = 0 whose A_i are polynomials
@@ -43,17 +43,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """Power series modulo X^order over F_q, q prime."""
+    """Power series modulo X^order over F_q, q prime, as one read-only
+    int64 array of residues."""
 
     modulus: int
-    coeffs: tuple[int, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
-        coeffs = tuple(int(c) % self.modulus for c in self.coeffs)
+        coeffs = np.asarray(self.coeffs, dtype=np.int64) % self.modulus
+        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -61,57 +63,53 @@ class Series:
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other: "Series") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("series use different moduli")
+        return not self.coeffs.any()
 
     def __mul__(self, other: "Series") -> "Series":
-        self._check(other)
-        order = min(self.order, other.order)
-        return Series(self.modulus,
-                      _convolve(self.coeffs[:order], other.coeffs[:order],
-                                order, self.modulus))
+        if self.modulus != other.modulus:
+            raise ValueError("series use different moduli")
+        return Series(self.modulus, truncated_product(
+            self.coeffs, other.coeffs, min(self.order, other.order), self.modulus))
 
     def to_json(self) -> dict:
-        return {"modulus": self.modulus, "coeffs": list(self.coeffs)}
+        return {"modulus": self.modulus, "coeffs": self.coeffs.tolist()}
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], order: int, q: int) -> tuple[int, ...]:
-    if order == 0 or not len(a) or not len(b):
-        return (0,) * order
-    out = np.convolve(np.asarray(a, dtype=np.int64),
-                      np.asarray(b, dtype=np.int64))[:order] % q
-    result = tuple(int(v) for v in out)
-    return result + (0,) * (order - len(result))
+def truncated_product(a: np.ndarray, b: np.ndarray, order: int, q: int) -> np.ndarray:
+    """a·b mod (X^order, q) for int64 arrays reduced mod q.  Each product
+    coefficient sums at most min(len a, len b) terms below q^2 in int64, so
+    past 2^63 this raises instead of wrapping around."""
+    a, b = a[:order], b[:order]
+    if min(len(a), len(b)) * (q - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {q} is too large for exact products at order {order}")
+    out = np.zeros(order, dtype=np.int64)
+    if len(a) and len(b):
+        out[:len(a) + len(b) - 1] = np.convolve(a, b)[:order] % q
+    return out
 
 
-def series_from_sequence(seq, q: int, order: int,
+def series_from_sequence(word: Word, q: int, order: int,
                          value_map: Optional[Mapping[str, int]] = None) -> Series:
-    """First `order` terms of a symbol sequence as a series over F_q.
+    """First `order` terms of a word as a series over F_q.
 
-    Symbols map through value_map when given, otherwise through int().
+    Symbols map through value_map when given, otherwise through int();
+    only the symbols that occur in those terms need a value.
     """
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    tokens = seq.tokens() if isinstance(seq, Word) else tuple(seq)
-    if len(tokens) < order:
-        raise ValueError(f"sequence has {len(tokens)} terms but {order} are needed")
-    values = []
-    for tok in tokens[:order]:
-        if value_map is not None:
-            if tok not in value_map:
-                raise ValueError(f"no field value for symbol {tok!r}")
-            values.append(value_map[tok])
-        elif isinstance(tok, int):
-            values.append(tok)
-        else:
-            try:
-                values.append(int(tok))
-            except (TypeError, ValueError):
-                raise ValueError(f"no field value for symbol {tok!r}") from None
-    return Series(q, tuple(values))
+    if len(word) < order:
+        raise ValueError(f"sequence has {len(word)} terms but {order} are needed")
+    table = np.full(len(word.alphabet), -1, dtype=np.int64)  # -1: no value
+    for i, sym in enumerate(word.alphabet.symbols):
+        try:  # reduced as a Python int, so that any integer value fits
+            table[i] = (int(sym) if value_map is None else value_map[sym]) % q
+        except (KeyError, ValueError):
+            pass
+    values = table.take(word.indices[:order])
+    unmapped = np.flatnonzero(values < 0)
+    if unmapped.size:
+        raise ValueError(f"no field value for symbol {word[int(unmapped[0])]!r}")
+    return Series(q, values)
 
 
 def _poly_trim(p: Sequence[int]) -> tuple[int, ...]:
@@ -217,14 +215,13 @@ def evaluate_relation(rel: Relation, f: Series) -> Series:
     power = np.zeros(order, dtype=np.int64)
     if order:
         power[0] = 1  # f^0
-    fc = np.asarray(f.coeffs, dtype=np.int64)
     for i, poly in enumerate(rel.polys):
         if i:
-            power = np.convolve(power, fc)[:order] % q
+            power = truncated_product(power, f.coeffs, order, q)
         if any(poly):
-            term = np.convolve(np.asarray(poly, dtype=np.int64), power)[:order]
-            total = (total + term) % q
-    return Series(q, tuple(int(v) for v in total))
+            total += truncated_product(np.array(poly, dtype=np.int64), power, order, q)
+            total %= q
+    return Series(q, total)
 
 
 def nullspace_mod(matrix, q: int) -> list[tuple[int, ...]]:
@@ -279,11 +276,10 @@ def find_algebraic_relation(f: Series, max_degree: int, coeff_degree: int,
     if order <= unknowns + 32:
         raise InsufficientTruncationError(
             f"{unknowns} unknowns need order > {unknowns + 32}, got {order}")
-    fc = np.asarray(f.coeffs[:order], dtype=np.int64)
     powers = [np.zeros(order, dtype=np.int64)]
     powers[0][0] = 1
     for _ in range(max_degree):
-        powers.append(np.convolve(powers[-1], fc)[:order] % q)
+        powers.append(truncated_product(powers[-1], f.coeffs, order, q))
     columns = []
     for i in range(max_degree + 1):
         for j in range(coeff_degree + 1):

@@ -27,32 +27,30 @@ _ONE = BINARY_ALPHABET.index("1")
 _PLAIN = np.array(BAR_PROJECTION.table) == _ONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntSequence:
-    """Non-negative integers tagged with the construction that made them."""
+    """Non-negative integers as one read-only int64 array."""
 
-    values: tuple[int, ...]
-    label: str = ""
+    values: np.ndarray
 
     def __post_init__(self):
-        values = self.values
-        values = tuple(values.tolist() if isinstance(values, np.ndarray)
-                       else map(int, values))
-        object.__setattr__(self, "values", values)
-        if values and min(values) < 0:
+        values = np.array(self.values, dtype=np.int64)  # a copy: frozen below
+        if values.size and values.min() < 0:
             raise ValueError("values must be non-negative")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def text(self) -> str:
-        return " ".join(map(str, self.values))
+        return " ".join(map(str, self.values.tolist()))
 
     def to_json(self) -> list[int]:
-        return list(self.values)
+        return self.values.tolist()
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i) -> int:
-        return self.values[i]
+    def __getitem__(self, i: int) -> int:
+        return self.values.item(i)
 
 
 def derive_T(prefix: Word) -> Word:
@@ -64,12 +62,12 @@ def derive_U(prefix: Word) -> IntSequence:
     """Running count of plain moves, the current term included."""
     if prefix.alphabet != HANOI_ALPHABET:
         raise DomainError("expected a word over the six-letter move alphabet")
-    return IntSequence(np.cumsum(_PLAIN.take(prefix.indices)), "U")
+    return IntSequence(np.cumsum(_PLAIN.take(prefix.indices)))
 
 
 def derive_V(u: IntSequence) -> Word:
     """U reduced modulo 2, as a binary word."""
-    odd = np.array(u.values, dtype=np.int64) % 2 == 1
+    odd = u.values % 2 == 1
     return Word._of(BINARY_ALPHABET, np.where(odd, _ONE, _ZERO))
 
 
@@ -84,7 +82,7 @@ def derive_Z(binary_prefix: Word) -> IntSequence:
     idx = binary_prefix.indices
     if not len(idx) or idx[0] != _ZERO:
         raise ValueError("sequence must begin with 0")
-    return IntSequence(np.diff(np.flatnonzero(idx == _ZERO)) - 1, "Z")
+    return IntSequence(np.diff(np.flatnonzero(idx == _ZERO)) - 1)
 
 
 def doublefree_oracle(n: int) -> int:

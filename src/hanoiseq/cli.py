@@ -13,6 +13,8 @@ import json
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 from . import hanoi
 from .algebra import (InsufficientTruncationError, evaluate_relation,
                       find_algebraic_relation, period_doubling_relation,
@@ -22,7 +24,7 @@ from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
 from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
                          doublefree_oracle)
 from .hanoi import (VariantViolationError, bfs_optimal, classical_target,
-                    factor_census, moves_budget, olive_solve, simulate,
+                    factor_census, olive_solve, simulate, solution_length,
                     squarefree_check, variant_by_name, verify_classical_prefix)
 from .nonuniform import (ConstructionError, construct_nonuniform,
                          validation_failures)
@@ -89,31 +91,20 @@ def cmd_compare(args) -> Result:
 
 
 def _sequence_solution(variant_name: str, disks: int):
-    """Truncate the variant's catalog sequence at the first completion event."""
-    if disks < 1:
-        raise ValueError("disk count must be >= 1")
-    budget = moves_budget(disks)
+    """The variant's catalog sequence cut where it first completes N disks,
+    and the replay of that prefix."""
     variant = variant_by_name(variant_name)
-    name = _SEQUENCE_FOR_VARIANT[variant_name]
-    length = 256
-    while True:
-        word = catalog_prefix(name, min(length, budget))
-        trace = simulate(word, disks, variant)
-        event = trace.event_for(disks)
-        if event is not None:
-            return word[:event[0]], event[2]
-        if not trace.ok:
-            raise RuntimeError(
-                f"{name} aborted before completing {disks} disks: {trace.error}")
-        if length >= budget:
-            raise ValueError(f"moves budget exceeded: {name} completes no "
-                             f"{disks}-disk tower within {budget} moves")
-        length *= 4
+    word = catalog_prefix(_SEQUENCE_FOR_VARIANT[variant_name],
+                          solution_length(variant, disks))
+    return word, simulate(word, disks, variant)
 
 
 def cmd_hanoi_solve(args) -> Result:
     if args.olive and args.variant != "classical":
         raise ValueError("the alternating solver applies to the classical variant only")
+    if args.check_optimal and args.disks > hanoi._BFS_DISKS_MAX:
+        raise ValueError(f"input budget exceeded: --disks {args.disks} is more than "
+                         f"{hanoi._BFS_DISKS_MAX} with --check-optimal")
     if args.olive:
         peg = args.target or classical_target(args.disks)
         word = olive_solve(args.disks, peg)
@@ -124,7 +115,15 @@ def cmd_hanoi_solve(args) -> Result:
             return 1, [], None
         method = "olive"
     else:
-        word, peg = _sequence_solution(args.variant, args.disks)
+        word, trace = _sequence_solution(args.variant, args.disks)
+        event = trace.event_for(args.disks)
+        if event is None or event[0] != len(word):
+            why = trace.error or (f"they first stand together at move {event[0]}"
+                                  if event else "they do not stand together within it")
+            print(f"error: the {args.variant} sequence does not complete {args.disks} "
+                  f"disks exactly at move {len(word)}: {why}", file=sys.stderr)
+            return 1, [], None
+        peg = event[2]
         method = "sequence"
     lines = [word, f"moves: {len(word)}", f"peg: {peg}"]
     payload = {"variant": args.variant, "disks": args.disks, "method": method,
@@ -299,9 +298,10 @@ def _derive_check(what: str, result, length: int):
     if what == "V":
         tm = catalog_prefix("thue-morse", length + 1)
         return "0V matches thue-morse", tm[0] == "0" and tm[1:] == result
-    non, uni = (tuple(int(t) for t in catalog_prefix(name, length).tokens())
-                for name in ("z-nonuniform", "z-uniform"))
-    return "matches both morphic presentations", result.values == non == uni
+    non, uni = (catalog_prefix(name, length) for name in ("z-nonuniform", "z-uniform"))
+    values = np.array(non.alphabet.symbols, dtype=np.int64).take(non.indices)
+    return "matches both morphic presentations", (
+        np.array_equal(result.values, values) and non.first_mismatch(uni) is None)
 
 
 def cmd_derive(args) -> Result:
@@ -409,7 +409,7 @@ COMMANDS = {
         _arg("--width", type=int, required=True),
         _arg("--aligned", action="store_true"),
         _arg("--length", type=int, default=4096),
-    ), "cmd_census", _LENGTH),
+    ), "cmd_census", {"--width": "_WIDTH_MAX", **_LENGTH}),
     ("squarefree",): Command("scan a prefix for squares ww", (
         _arg("--seq", required=True),
         _arg("--length", type=int, required=True),
@@ -420,13 +420,13 @@ COMMANDS = {
         _arg("--radix", type=int, default=2),
         _arg("--depth", type=int, default=8),
         _arg("--length", type=int, default=2 ** 16),
-    ), "cmd_kernel", _LENGTH),
+    ), "cmd_kernel", {"--radix": "_RADIX_MAX", **_LENGTH}),
     ("construct-nonuniform",): Command(
         "non-uniform presentation of a uniform catalog morphism", (
             _arg("--seq", required=True),
             _arg("--validate", type=int, metavar="L",
                  help="validate the construction on an L-symbol prefix"),
-        ), "cmd_construct"),
+        ), "cmd_construct", {"--validate": "_VALIDATE_MAX"}),
     ("christol", "verify"): Command("check the period-doubling series relation", (
         _arg("--order", type=int, default=4096),
     ), "cmd_christol_verify", _ORDER),
@@ -437,19 +437,20 @@ COMMANDS = {
         _arg("--coeff-degree", type=int, default=2),
         _arg("--order", type=int, default=512),
         _arg("--map", help="symbol values, e.g. a=0,b=1"),
-    ), "cmd_christol_search", _ORDER),
+    ), "cmd_christol_search", {"--modulus": "_MODULUS_MAX", "--dmax": "_DMAX_MAX",
+                               "--coeff-degree": "_COEFF_DEGREE_MAX", **_ORDER}),
     ("derive",): Command("classical projections T, U, V, Z", (
         _arg("--what", choices=("T", "U", "V", "Z"), required=True),
         _arg("--length", type=int, required=True),
         _arg("--check", action="store_true",
              help="verify the defining cross-identity"),
-    ), "cmd_derive"),
+    ), "cmd_derive", _LENGTH),
     ("eval",): Command("evaluate one term through the automaton", (
         _arg("--seq", required=True),
         _arg("--index", type=int),
         _arg("--check-prefix", type=int, metavar="L",
              help="compare automaton output with the prefix for n < L"),
-    ), "cmd_eval"),
+    ), "cmd_eval", {"--check-prefix": "_CHECK_PREFIX_MAX"}),
 }
 
 
@@ -516,8 +517,8 @@ def _check_budgets(args) -> None:
     if args.command in GROUPS:
         path += (getattr(args, f"{args.command}_command"),)
     for flag, name in COMMANDS[path].budgets.items():
-        value, limit = getattr(args, flag[2:]), getattr(hanoi, name)
-        if value > limit:
+        value, limit = getattr(args, flag[2:].replace("-", "_")), getattr(hanoi, name)
+        if value is not None and value > limit:
             raise ValueError(f"input budget exceeded: {flag} {value} is more than {limit}")
 
 

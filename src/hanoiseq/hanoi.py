@@ -19,6 +19,7 @@ variant.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -44,6 +45,15 @@ _MOVES_MAX = 1 << 26
 _LENGTH_MAX = 1 << 24  # prefix symbols: about 0.3 GB to print 2^24 as JSON
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
+_CHECK_PREFIX_MAX = 1 << 20  # automaton runs one index at a time, ~4 s at 2^20
+_VALIDATE_MAX = 1 << 20  # validating a construction holds ~250 MB at 2^20
+_RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
+_WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols
+# the largest modulus whose series products stay exact in int64 at _ORDER_MAX:
+# _ORDER_MAX * (q - 1)^2 < 2^63
+_MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
+_DMAX_MAX = 4  # one quadratic series product per degree, ~19 s at order 2^16
+_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~21 s and 390 MB at order 2^16
 
 
 class IllegalMoveError(ValueError):
@@ -263,6 +273,29 @@ def moves_budget(disks: int) -> int:
         raise ValueError(f"moves budget exceeded: {disks} disks need at least "
                          f"2^{disks} - 1 moves, more than {_MOVES_MAX}")
     return _MOVES_MAX
+
+
+def solution_length(variant: Variant, disks: int) -> int:
+    """Moves after which the variant's catalog sequence first completes N
+    disks: 2^N - 1 classical, (3^N - 1)/2 lazy (the transfer I->II), and
+    for cyclic R_N, the optimal transfer I->III, from Q_n = 2 R_{n-1} + 1
+    and R_n = 2 R_{n-1} + Q_{n-1} + 2, or 1 move to peg II for one disk.
+    Refuses N disks when that length is past the moves budget."""
+    if disks < 1:
+        raise ValueError("disk count must be >= 1")
+    moves_budget(disks)
+    length = 2 ** disks - 1
+    if variant == LAZY:
+        length = (3 ** disks - 1) // 2
+    elif variant == CYCLIC and disks > 1:
+        q = r = 0
+        for _ in range(disks):
+            q, r = 2 * r + 1, 2 * r + q + 2
+        length = r
+    if length > _MOVES_MAX:
+        raise ValueError(f"moves budget exceeded: {disks} disks need {length} moves "
+                         f"in the {variant.name} variant, more than {_MOVES_MAX}")
+    return length
 
 
 def verify_classical_prefix(disks: int) -> bool:

@@ -321,10 +321,6 @@ class Coding:
         table = tuple(codomain.index(mapping[s]) for s in domain.symbols)
         return cls(domain, codomain, table)
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "Coding":
-        return cls(alphabet, alphabet, tuple(range(len(alphabet.symbols))))
-
     def image_token(self, symbol: str) -> str:
         return self.codomain.symbols[self.table[self.domain.index(symbol)]]
 

@@ -82,7 +82,7 @@ def test_criterion_05_projections_and_doublefree_oracle():
         word15 = catalog_prefix("classical-hanoi", 15)
         assert derive_T(word15).text() == "1 0 1 1 1 0 1 0 1 0 1 1 1 0 1"
         u15 = derive_U(word15)
-        assert u15.values == (1, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8, 9, 9, 10)
+        assert u15.values.tolist() == [1, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8, 9, 9, 10]
         assert derive_V(u15).text() == "1 1 0 1 0 0 1 1 0 0 1 0 1 1 0"
         u24 = derive_U(catalog_prefix("classical-hanoi", 24))
         for n in range(1, 25):
@@ -169,8 +169,8 @@ def test_criterion_12_z_presentations_agree():
         length = 10 ** 4
         z = derive_Z(catalog_prefix("thue-morse", 4 * length + 64))
         assert len(z) >= length
-        derived = z.values[:length]
-        assert derived[:7] == (2, 1, 0, 2, 0, 1, 2)
-        non = tuple(int(t) for t in catalog_prefix("z-nonuniform", length).tokens())
-        uni = tuple(int(t) for t in catalog_prefix("z-uniform", length).tokens())
+        derived = z.values[:length].tolist()
+        assert derived[:7] == [2, 1, 0, 2, 0, 1, 2]
+        non = [int(t) for t in catalog_prefix("z-nonuniform", length).tokens()]
+        uni = [int(t) for t in catalog_prefix("z-uniform", length).tokens()]
         assert derived == non == uni

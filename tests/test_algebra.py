@@ -1,28 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 
 from hanoiseq.algebra import (InsufficientTruncationError, Relation, Series,
                               evaluate_relation, find_algebraic_relation,
                               is_prime, nullspace_mod, period_doubling_relation,
                               poly_gcd, series_from_sequence)
-from hanoiseq.catalog import catalog_prefix
+from hanoiseq.catalog import BINARY_ALPHABET, catalog_prefix
+from hanoiseq.words import Word
 
 
 def pd_series(order):
     return series_from_sequence(catalog_prefix("period-doubling", order), 2, order)
 
 
+def constant(bit, n):
+    return Word.from_tokens(BINARY_ALPHABET, [bit] * n)
+
+
 class TestSeries:
     def test_from_period_doubling(self):
-        assert pd_series(8).coeffs == (1, 0, 1, 1, 1, 0, 1, 0)
+        assert pd_series(8).coeffs.tolist() == [1, 0, 1, 1, 1, 0, 1, 0]
 
     def test_zero_word(self):
-        s = series_from_sequence(["0"] * 16, 2, 16)
+        s = series_from_sequence(constant("0", 16), 2, 16)
         assert s.is_zero()
 
     def test_constant_one_is_geometric(self):
-        ones = series_from_sequence(["1"] * 64, 2, 64)
+        ones = series_from_sequence(constant("1", 64), 2, 64)
         geometric = Relation(2, ((1,), (1, 1)))  # 1 + (1+X) F over F_2
         assert evaluate_relation(geometric, ones).is_zero()
 
@@ -30,35 +36,59 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series(4, (1, 0))
         with pytest.raises(ValueError):
-            series_from_sequence(["1"] * 4, 6, 4)
+            series_from_sequence(constant("1", 4), 6, 4)
 
     def test_sequence_too_short(self):
         with pytest.raises(ValueError):
-            series_from_sequence(["1"] * 4, 2, 8)
+            series_from_sequence(constant("1", 4), 2, 8)
 
     def test_unmapped_symbol(self):
         with pytest.raises(ValueError):
             series_from_sequence(catalog_prefix("classical-hanoi", 8), 2, 8)
         mapped = series_from_sequence(catalog_prefix("fibonacci", 8), 2, 8,
                                       value_map={"a": 0, "b": 1})
-        assert mapped.coeffs == (0, 1, 0, 0, 1, 0, 1, 0)
+        assert mapped.coeffs.tolist() == [0, 1, 0, 0, 1, 0, 1, 0]
+
+    def test_large_map_values_reduced_exactly(self):
+        mapped = series_from_sequence(catalog_prefix("fibonacci", 8), 7, 8,
+                                      value_map={"a": 10 ** 30, "b": 1})
+        a = 10 ** 30 % 7
+        assert mapped.coeffs.tolist() == [a, 1, a, a, 1, a, 1, a]
+
+    def test_only_occurring_symbols_need_values(self):
+        ones = series_from_sequence(constant("1", 8), 2, 8, value_map={"1": 1})
+        assert ones.coeffs.tolist() == [1] * 8
+        with pytest.raises(ValueError, match="no field value for symbol 'b'"):
+            series_from_sequence(catalog_prefix("fibonacci", 8), 2, 8, value_map={"a": 0})
+
+    def test_coefficients_are_one_read_only_int64_array(self):
+        coeffs = pd_series(8).coeffs
+        assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0
 
     def test_coefficients_reduced(self):
-        assert Series(3, (4, -1)).coeffs == (1, 2)
+        assert Series(3, (4, -1)).coeffs.tolist() == [1, 2]
 
     def test_mul_truncates(self):
         a = Series(2, (1, 1, 1, 1))
         b = Series(2, (1, 1))
-        assert (a * b).coeffs == (1, 0)
+        assert (a * b).coeffs.tolist() == [1, 0]
+
+    def test_product_past_int64_raises(self):
+        # 8 (q-1)^2 passes 2^63; the wrapped square would read 1, 2, q-1, 0, ...
+        q = 2147483647
+        f = Series(q, [q - 1] * 8)
+        with pytest.raises(ValueError, match="too large for exact products"):
+            f * f
 
     def test_characteristic_two_squaring(self):
         rng = random.Random(64)
         for _ in range(25):
             order = rng.randrange(2, 80)
-            coeffs = tuple(rng.randrange(2) for _ in range(order))
-            square = (Series(2, coeffs) * Series(2, coeffs)).coeffs
-            spread = tuple(coeffs[n // 2] if n % 2 == 0 else 0
-                           for n in range(order))
+            coeffs = [rng.randrange(2) for _ in range(order)]
+            square = (Series(2, coeffs) * Series(2, coeffs)).coeffs.tolist()
+            spread = [coeffs[n // 2] if n % 2 == 0 else 0 for n in range(order)]
             assert square == spread
 
 
@@ -69,7 +99,9 @@ class TestEvaluateRelation:
 
     def test_flipped_coefficient_detected(self):
         f = pd_series(512)
-        flipped = Series(2, f.coeffs[:100] + (1 - f.coeffs[100],) + f.coeffs[101:])
+        coeffs = f.coeffs.copy()
+        coeffs[100] ^= 1
+        flipped = Series(2, coeffs)
         assert not evaluate_relation(period_doubling_relation(), flipped).is_zero()
 
     def test_modulus_mismatch(self):
@@ -114,7 +146,7 @@ class TestFindRelation:
         assert find_algebraic_relation(pd_series(512), 1, 2) is None
 
     def test_rational_series_found_at_degree_one(self):
-        ones = series_from_sequence(["1"] * 512, 2, 512)
+        ones = series_from_sequence(constant("1", 512), 2, 512)
         found = find_algebraic_relation(ones, 1, 2)
         assert found is not None
         assert found.normalized().polys == ((1,), (1, 1))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hanoiseq.catalog import BINARY_ALPHABET, catalog_prefix, morphic_entry
@@ -7,7 +8,7 @@ from hanoiseq.classicseq import (IntSequence, derive_T, derive_U, derive_V,
 from hanoiseq.words import DomainError, Word
 
 T_ROW = "1 0 1 1 1 0 1 0 1 0 1 1 1 0 1"
-U_ROW = (1, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8, 9, 9, 10)
+U_ROW = [1, 1, 2, 3, 4, 4, 5, 5, 6, 6, 7, 8, 9, 9, 10]
 V_ROW = "1 1 0 1 0 0 1 1 0 0 1 0 1 1 0"
 
 
@@ -29,10 +30,10 @@ class TestDeriveT:
 
 class TestDeriveU:
     def test_opening_row(self):
-        assert derive_U(catalog_prefix("classical-hanoi", 15)).values == U_ROW
+        assert derive_U(catalog_prefix("classical-hanoi", 15)).values.tolist() == U_ROW
 
     def test_single_letter(self):
-        assert derive_U(catalog_prefix("classical-hanoi", 1)).values == (1,)
+        assert derive_U(catalog_prefix("classical-hanoi", 1)).values.tolist() == [1]
 
     def test_last_value_counts_plain_letters(self):
         word = catalog_prefix("classical-hanoi", 500)
@@ -94,13 +95,13 @@ class TestDoubleFree:
 class TestDeriveZ:
     def test_opening_values(self):
         z = derive_Z(catalog_prefix("thue-morse", 16))
-        assert z.values == (2, 1, 0, 2, 0, 1, 2)
+        assert z.values.tolist() == [2, 1, 0, 2, 0, 1, 2]
 
     def test_two_zeros(self):
-        assert derive_Z(Word.from_tokens(BINARY_ALPHABET, "0 0")).values == (0,)
+        assert derive_Z(Word.from_tokens(BINARY_ALPHABET, "0 0")).values.tolist() == [0]
 
     def test_unclosed_gap_dropped(self):
-        assert derive_Z(Word.from_tokens(BINARY_ALPHABET, "0 1 1")).values == ()
+        assert derive_Z(Word.from_tokens(BINARY_ALPHABET, "0 1 1")).values.tolist() == []
 
     def test_must_start_with_zero(self):
         with pytest.raises(ValueError):
@@ -116,9 +117,9 @@ class TestDeriveZ:
 
     def test_three_presentations_agree(self):
         length = 2000
-        z = derive_Z(catalog_prefix("thue-morse", 8 * length)).values[:length]
-        non = tuple(int(t) for t in catalog_prefix("z-nonuniform", length).tokens())
-        uni = tuple(int(t) for t in catalog_prefix("z-uniform", length).tokens())
+        z = derive_Z(catalog_prefix("thue-morse", 8 * length)).values[:length].tolist()
+        non = [int(t) for t in catalog_prefix("z-nonuniform", length).tokens()]
+        uni = [int(t) for t in catalog_prefix("z-uniform", length).tokens()]
         assert z == non == uni
 
 
@@ -128,6 +129,12 @@ class TestIntSequence:
             IntSequence((1, -2))
 
     def test_text_and_json(self):
-        s = IntSequence((1, 2, 3), "U")
+        s = IntSequence((1, 2, 3))
         assert s.text() == "1 2 3"
         assert s.to_json() == [1, 2, 3]
+
+    def test_values_are_one_read_only_int64_array(self):
+        values = derive_U(catalog_prefix("classical-hanoi", 64)).values
+        assert values.dtype == np.int64 and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0

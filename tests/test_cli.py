@@ -12,6 +12,21 @@ from hanoiseq.words import Word
 S16 = "a C b a c B a C b A c b a C b a"
 
 
+def _cyclic_moves(disks):
+    # one disk steps once along the cycle; more disks take two steps, R_N,
+    # from Q_n = 2 R_{n-1} + 1 and R_n = 2 R_{n-1} + Q_{n-1} + 2
+    q = r = 0
+    for _ in range(disks):
+        q, r = 2 * r + 1, 2 * r + q + 2
+    return q if disks == 1 else r
+
+
+# moves of the solution `hanoi solve` prints for N disks
+SOLUTION_MOVES = {"classical": lambda n: 2 ** n - 1,
+                  "lazy": lambda n: (3 ** n - 1) // 2,
+                  "cyclic": _cyclic_moves}
+
+
 def out_of(capsys):
     captured = capsys.readouterr()
     return captured.out, captured.err
@@ -115,8 +130,7 @@ class TestHanoi:
     @pytest.mark.parametrize("argv", ["solve --disks 11", "solve --disks 11 --olive",
                                       "verify --disks 11", "solve --variant lazy --disks 7"])
     def test_moves_budget(self, argv, monkeypatch, capsys):
-        # classical needs 2047 moves and is refused up front; lazy needs 1093
-        # and gives up once a 1024-symbol prefix completes no tower
+        # classical needs 2047 moves and lazy 1093, both more than 1024
         monkeypatch.setattr(hanoi, "_MOVES_MAX", 1 << 10)
         assert run(["hanoi", *argv.split()]) == 2
         out, err = out_of(capsys)
@@ -125,16 +139,72 @@ class TestHanoi:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("budget", [1 << 10, 1 << 26])
-    @pytest.mark.parametrize("command", ["solve", "solve --olive", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "solve --olive", "verify",
+                                         "solve --variant lazy", "solve --variant cyclic"])
     def test_moves_budget_refuses_before_work(self, command, budget, monkeypatch, capsys):
         monkeypatch.setattr(hanoi, "_MOVES_MAX", budget)
         monkeypatch.setattr(cli, "catalog_prefix", _refuse)
+        monkeypatch.setattr(cli, "simulate", _refuse)
         monkeypatch.setattr(hanoi, "catalog_lookup", _refuse)
-        disks = budget.bit_length()
+        variant = command.split()[-1] if "--variant" in command else "classical"
+        # the fewest disks whose solution is longer than the budget
+        disks = next(n for n in range(1, 64) if SOLUTION_MOVES[variant](n) > budget)
         assert run(["hanoi", *command.split(), "--disks", str(disks)]) == 2
         _, err = out_of(capsys)
-        assert err == (f"error: moves budget exceeded: {disks} disks need at least "
-                       f"2^{disks} - 1 moves, more than {budget}\n")
+        if variant == "classical":
+            assert err == (f"error: moves budget exceeded: {disks} disks need at least "
+                           f"2^{disks} - 1 moves, more than {budget}\n")
+        else:
+            assert err == (f"error: moves budget exceeded: {disks} disks need "
+                           f"{SOLUTION_MOVES[variant](disks)} moves in the {variant} "
+                           f"variant, more than {budget}\n")
+
+    @pytest.mark.parametrize("variant", sorted(SOLUTION_MOVES))
+    def test_solution_length_is_the_optimal_transfer(self, variant):
+        # the peg where each variant's sequence completes the tower
+        for disks in range(1, 7):
+            target = ("II" if disks == 1 or variant == "lazy" else "III"
+                      if variant == "cyclic" else hanoi.classical_target(disks))
+            best, _ = hanoi.bfs_optimal(hanoi.VARIANTS[variant], disks, "I", target)
+            assert hanoi.solution_length(hanoi.VARIANTS[variant], disks) == best
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("variant", sorted(SOLUTION_MOVES))
+    def test_solution_replayed_once(self, variant, fmt, monkeypatch, capsys):
+        calls = []
+        prefix = cli.catalog_prefix
+        monkeypatch.setattr(cli, "catalog_prefix",
+                            lambda name, n: calls.append(n) or prefix(name, n))
+        assert run(["hanoi", "solve", "--variant", variant, "--disks", "6",
+                    "--format", fmt]) == 0
+        assert calls == [SOLUTION_MOVES[variant](6)]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_completion_off_the_last_move_exits_1(self, shift, fmt, monkeypatch, capsys):
+        length = hanoi.solution_length
+        monkeypatch.setattr(cli, "solution_length",
+                            lambda variant, disks: length(variant, disks) + shift)
+        assert run(["hanoi", "solve", "--variant", "lazy", "--disks", "4",
+                    "--format", fmt]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error: the lazy sequence does not complete 4 disks "
+                              f"exactly at move {40 + shift}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_optimal_search_budget(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(hanoi, "_BFS_DISKS_MAX", 3)
+        monkeypatch.setattr(cli, "catalog_prefix", _refuse)
+        monkeypatch.setattr(cli, "bfs_optimal", _refuse)
+        assert run(["hanoi", "solve", "--disks", "4", "--check-optimal",
+                    "--format", fmt]) == 2
+        assert out_of(capsys) == ("", "error: input budget exceeded: --disks 4 is more "
+                                      "than 3 with --check-optimal\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(hanoi, "_BFS_DISKS_MAX", 3)
+        assert run(["hanoi", "solve", "--disks", "3", "--check-optimal"]) == 0
 
     def test_moves_budget_admits_2_to_the_n_minus_1(self, monkeypatch, capsys):
         monkeypatch.setattr(hanoi, "_MOVES_MAX", 1 << 10)
@@ -224,6 +294,14 @@ class TestOracles:
                     "--map", "a=0,b=1", "--coeff-degree", "4"]) == 0
         out, _ = out_of(capsys)
         assert "no relation" in out
+
+    def test_christol_search_reduces_large_map_values(self, capsys):
+        # 10^30 = 1 mod 3: the same series as a=1,b=1
+        argv = ["christol", "search", "--seq", "fibonacci", "--modulus", "3", "--dmax", "1"]
+        assert run(argv + ["--map", f"a={10 ** 30},b=1"]) == 0
+        assert run(argv + ["--map", "a=1,b=1"]) == 0
+        first, second = out_of(capsys)[0].split("relation found")[1:]
+        assert first == second
 
     @pytest.mark.parametrize("what", ["T", "U", "V", "Z"])
     def test_derive_with_check(self, what, capsys):
@@ -366,8 +444,25 @@ BUDGETED = [
     ("christol verify --order", "_ORDER_MAX"),
     ("christol search --seq period-doubling --order", "_ORDER_MAX"),
     ("hanoi bfs --disks", "_BFS_DISKS_MAX"),
+    ("derive --what U --length", "_LENGTH_MAX"),
+    ("eval --seq thue-morse --check-prefix", "_CHECK_PREFIX_MAX"),
+    ("construct-nonuniform --seq thue-morse --validate", "_VALIDATE_MAX"),
+    ("kernel --seq thue-morse --radix", "_RADIX_MAX"),
+    ("census --seq thue-morse --width", "_WIDTH_MAX"),
+    ("christol search --seq period-doubling --modulus", "_MODULUS_MAX"),
+    ("christol search --seq period-doubling --dmax", "_DMAX_MAX"),
+    ("christol search --seq period-doubling --coeff-degree", "_COEFF_DEGREE_MAX"),
 ]
-SMALL_BUDGET = {"_BFS_DISKS_MAX": 3}
+# a small budget the command accepts as a value: a prime modulus
+SMALL_BUDGET = {"_BFS_DISKS_MAX": 3, "_MODULUS_MAX": 61}
+# int options without a budget in the command table, and what bounds them
+UNBUDGETED = {
+    (("hanoi", "solve"), "--disks"): "moves_budget refuses past 2^26 moves",
+    (("hanoi", "verify"), "--disks"): "moves_budget refuses past 2^26 moves",
+    (("squarefree",), "--max-period"): "squarefree_check has its own scan budget",
+    (("eval",), "--index"): "one automaton step per digit, O(log n)",
+    (("kernel",), "--depth"): "only new classes are refined, so the class count bounds it",
+}
 
 
 class TestInputBudgets:
@@ -383,6 +478,27 @@ class TestInputBudgets:
         assert run(shlex.split(argv) + [str(limit + 1), "--format", fmt]) == 2
         assert out_of(capsys) == ("", f"error: input budget exceeded: {argv.split()[-1]} "
                                       f"{limit + 1} is more than {limit}\n")
+
+    def test_every_int_option_is_budgeted_or_exempt(self):
+        unbounded = {(path, flags[0])
+                     for path, command in cli.COMMANDS.items()
+                     for flags, options in command.arguments
+                     if options.get("type") is int and flags[0] not in command.budgets}
+        assert unbounded == set(UNBUDGETED)
+
+    def test_every_budget_is_tested(self):
+        tested = set()
+        for argv, name in BUDGETED:
+            words = argv.split()
+            path = tuple(words[:2] if words[0] in cli.GROUPS else words[:1])
+            tested.add((path, words[-1], name))
+        declared = {(path, *item) for path, command in cli.COMMANDS.items()
+                    for item in command.budgets.items()}
+        assert declared == tested
+
+    def test_modulus_cap_keeps_products_exact(self):
+        assert hanoi._ORDER_MAX * (hanoi._MODULUS_MAX - 1) ** 2 < 1 << 63
+        assert hanoi._ORDER_MAX * hanoi._MODULUS_MAX ** 2 >= 1 << 63
 
     @pytest.mark.parametrize("argv,name", BUDGETED, ids=[b[0] for b in BUDGETED])
     def test_admits_the_limit(self, argv, name, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hanoiseq import hanoi
-from hanoiseq.algebra import Relation, poly_gcd
+from hanoiseq.algebra import Relation, poly_gcd, truncated_product
 from hanoiseq.automaton import dfao_from_uniform_morphism
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.classicseq import derive_U, derive_Z
@@ -194,7 +194,7 @@ def test_derive_U_is_the_running_plain_count(indices):
     for i in indices:
         total += i in plain
         expected.append(total)
-    assert derive_U(Word(HANOI_ALPHABET, indices)).values == tuple(expected)
+    assert derive_U(Word(HANOI_ALPHABET, indices)).values.tolist() == expected
 
 
 @PROPERTY
@@ -202,8 +202,8 @@ def test_derive_U_is_the_running_plain_count(indices):
 def test_derive_Z_lists_the_gaps_between_zeros(bits):
     bits = [0] + bits
     zeros = [i for i, b in enumerate(bits) if b == BINARY_ALPHABET.index("0")]
-    expected = tuple(b - a - 1 for a, b in zip(zeros, zeros[1:]))
-    assert derive_Z(Word(BINARY_ALPHABET, bits)).values == expected
+    expected = [b - a - 1 for a, b in zip(zeros, zeros[1:])]
+    assert derive_Z(Word(BINARY_ALPHABET, bits)).values.tolist() == expected
 
 
 @PROPERTY
@@ -374,3 +374,39 @@ def test_apply_accepts_exactly_a_smaller_disk_onto_a_larger(places, move):
         refusal = hanoi.DiskOrderError if pegs[src] else hanoi.EmptySourceError
         with pytest.raises(refusal):
             state.apply(move)
+
+
+def _exact_product(a, b, order, q):
+    out = [0] * order
+    for i, x in enumerate(a[:order]):
+        for j, y in enumerate(b[:order - i]):
+            out[i + j] += x * y
+    return [c % q for c in out]
+
+
+@st.composite
+def reduced_arrays(draw, q, max_size=40):
+    # residues, with the extreme q - 1 common so that products reach their bound
+    return draw(st.lists(st.one_of(st.just(q - 1), st.integers(0, q - 1)), max_size=max_size))
+
+
+@PROPERTY
+@given(st.data(), st.integers(2, hanoi._MODULUS_MAX), st.integers(0, 50))
+def test_truncated_product_is_exact_up_to_the_modulus_cap(data, q, order):
+    a, b = data.draw(reduced_arrays(q)), data.draw(reduced_arrays(q))
+    got = truncated_product(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), order, q)
+    assert got.dtype == np.int64 and got.tolist() == _exact_product(a, b, order, q)
+
+
+@PROPERTY
+@given(st.integers(1 << 28, 1 << 40), st.integers(0, 2))
+def test_truncated_product_refuses_past_int64(q, extra):
+    # the longest product whose coefficients all stay below 2^63, and longer
+    terms = ((1 << 63) - 1) // (q - 1) ** 2 + extra
+    a = np.full(terms, q - 1, dtype=np.int64)
+    if extra:
+        with pytest.raises(ValueError):
+            truncated_product(a, a, terms, q)
+    else:
+        got = truncated_product(a, a, terms, q)
+        assert got.tolist() == _exact_product([q - 1] * terms, [q - 1] * terms, terms, q)
