@@ -20,7 +20,7 @@ from .nonuniform import (Construction, ConstructionError, construct_nonuniform,
                          find_expanding_letter, validation_failures,
                          verify_fixed_point_equality)
 from .toeplitz import HOLE, NonConvergentError, ToeplitzSpec, fill_pass, toeplitz_expand
-from .words import (Alphabet, Coding, DomainError, Morphism, MorphicSpec,
+from .words import (Alphabet, DomainError, Morphism, MorphicSpec,
                     ProlongabilityError, Word, is_prolongable, spec_from_json,
                     spec_to_json)
 

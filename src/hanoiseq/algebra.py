@@ -212,11 +212,11 @@ def evaluate_relation(rel: Relation, f: Series) -> Series:
     q = f.modulus
     order = f.order
     total = np.zeros(order, dtype=np.int64)
-    power = np.zeros(order, dtype=np.int64)
-    if order:
-        power[0] = 1  # f^0
-    for i, poly in enumerate(rel.polys):
-        if i:
+    head = rel.polys[0][:order]  # the f^0 term needs no product
+    total[:len(head)] = head
+    power = f.coeffs
+    for i, poly in enumerate(rel.polys[1:], 1):
+        if i > 1:
             power = truncated_product(power, f.coeffs, order, q)
         if any(poly):
             total += truncated_product(np.array(poly, dtype=np.int64), power, order, q)
@@ -276,9 +276,10 @@ def find_algebraic_relation(f: Series, max_degree: int, coeff_degree: int,
     if order <= unknowns + 32:
         raise InsufficientTruncationError(
             f"{unknowns} unknowns need order > {unknowns + 32}, got {order}")
-    powers = [np.zeros(order, dtype=np.int64)]
-    powers[0][0] = 1
-    for _ in range(max_degree):
+    unit = np.zeros(order, dtype=np.int64)
+    unit[0] = 1
+    powers = [unit, f.coeffs[:order]][:max_degree + 1]
+    while len(powers) <= max_degree:
         powers.append(truncated_product(powers[-1], f.coeffs, order, q))
     columns = []
     for i in range(max_degree + 1):

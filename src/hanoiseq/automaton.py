@@ -14,7 +14,8 @@ set of subsequences n -> a(k^e n + r): it closes the exponent/residue
 pairs under digit refinement and merges pairs whose subsequences agree
 on the whole overlap available inside the prefix.  Agreement on a
 finite prefix is evidence, never proof, and the report records how much
-overlap backed each merge.
+overlap backed each merge.  A sequence that is not k-automatic opens a
+new class almost every time, so the comparisons carry a work budget.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import Alphabet, MorphicSpec, Word
+
+
+# kernel_explore's work budget: a comparison costs its overlap in symbols
+# plus a fixed charge for the call (about 2 us against about 1 ns per symbol),
+# so the budget is about 0.5 s of comparing
+_KERNEL_WORK_MAX = 1 << 29
+_COMPARISON_COST = 2048
 
 
 class NonUniformError(ValueError):
@@ -85,8 +93,7 @@ def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     alphabet = spec.morphism.domain
     transitions = tuple(tuple(img.indices.tolist()) for img in spec.morphism.images)
     if spec.coding is not None:
-        codomain = spec.coding.codomain.symbols
-        output = tuple(codomain[t] for t in spec.coding.table)
+        output = tuple(img[0] for img in spec.coding.images)
     else:
         output = alphabet.symbols
     return Dfao(alphabet, width, spec.start, transitions, output)
@@ -121,7 +128,8 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
 
     Exponent/residue pairs index the subsequences n -> prefix[k^e n + r];
     children (e+1, r + j k^e) are explored only for pairs that opened a
-    new class, and only while e < depth.
+    new class, and only while e < depth.  Raises ValueError before a
+    comparison would take the work past _KERNEL_WORK_MAX.
     """
     if radix < 2:
         raise ValueError("radix must be >= 2")
@@ -137,6 +145,7 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
     # cannot even place one term of every depth-level subsequence
     insufficient = len(seq) < radix ** depth
     queue: deque[tuple[int, int]] = deque([(0, 0)])
+    work = comparisons = 0
     while queue:
         e, r = queue.popleft()
         sub = seq[r::radix ** e]
@@ -146,6 +155,13 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
         matched = False
         for rep_seq in rep_seqs:
             m = min(len(sub), len(rep_seq))
+            work += m + _COMPARISON_COST
+            if work > _KERNEL_WORK_MAX:
+                raise ValueError(
+                    f"kernel budget exceeded: after {comparisons} comparisons against "
+                    f"{len(reps)} classes the work passes {_KERNEL_WORK_MAX} symbols "
+                    f"(overlap plus {_COMPARISON_COST} per comparison)")
+            comparisons += 1
             if np.array_equal(sub[:m], rep_seq[:m]):
                 overlaps.append(m)
                 matched = True

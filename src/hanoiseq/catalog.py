@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Union
 
 from .toeplitz import ToeplitzSpec
-from .words import Alphabet, Coding, Morphism, MorphicSpec, Word
+from .words import Alphabet, Morphism, MorphicSpec, Word
 
 CatalogEntry = Union[MorphicSpec, ToeplitzSpec]
 
@@ -56,9 +56,9 @@ _register("cyclic-hanoi", MorphicSpec(
         "f": "f v f", "g": "g w g", "h": "h u h",
         "u": "f g", "v": "g h", "w": "h f"}),
     "f",
-    Coding.from_rules(CYCLIC_STATE_ALPHABET, {
+    Morphism.from_rules(CYCLIC_STATE_ALPHABET, {
         "f": "a", "w": "a", "g": "c", "u": "c", "h": "b", "v": "b"},
-        codomain=CYCLIC_MOVE_ALPHABET)))
+        CYCLIC_MOVE_ALPHABET)))
 
 _register("classical-hanoi-nonuniform", MorphicSpec(
     Morphism.from_rules(HANOI_ALPHABET, {
@@ -91,8 +91,8 @@ _register("z-uniform", MorphicSpec(
     Morphism.from_rules(Z_UNIFORM_ALPHABET, {
         "2": "2 1", "1": "0 2", "0": "0 4", "4": "2 0"}),
     "2",
-    Coding.from_rules(Z_UNIFORM_ALPHABET, {"0": "0", "1": "1", "2": "2", "4": "1"},
-                      codomain=TERNARY_ALPHABET)))
+    Morphism.from_rules(Z_UNIFORM_ALPHABET, {"0": "0", "1": "1", "2": "2", "4": "1"},
+                        TERNARY_ALPHABET)))
 
 _register("paperfolding",
           ToeplitzSpec.from_tokens("0 . 1 .", alphabet=BINARY_ALPHABET))

@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BINARY_ALPHABET, HANOI_ALPHABET
-from .words import Coding, DomainError, Word
+from .words import DomainError, Morphism, Word
 
-BAR_PROJECTION = Coding.from_rules(
+BAR_PROJECTION = Morphism.from_rules(
     HANOI_ALPHABET,
     {"a": "1", "b": "1", "c": "1", "A": "0", "B": "0", "C": "0"},
-    codomain=BINARY_ALPHABET)
+    BINARY_ALPHABET)
 
 _ZERO = BINARY_ALPHABET.index("0")
 _ONE = BINARY_ALPHABET.index("1")
-_PLAIN = np.array(BAR_PROJECTION.table) == _ONE
+_PLAIN = np.array([img.indices.item(0) for img in BAR_PROJECTION.images]) == _ONE
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .words import (Alphabet, Coding, DomainError, Morphism, MorphicSpec,
+from .words import (Alphabet, DomainError, Morphism, MorphicSpec,
                     ProlongabilityError, Word, is_prolongable, spec_to_json)
 
 
@@ -102,7 +102,7 @@ class Construction:
     z: Word
     t: Word
     morphism: Morphism
-    coding: Coding
+    coding: Morphism
     block_length: int
     effective: Morphism
 
@@ -221,7 +221,7 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     drop_primes = {sym: sym for sym in domain.symbols}
     drop_primes[b_new] = letter
     drop_primes[c_new] = companion
-    coding = Coding.from_rules(extended, drop_primes, codomain=domain)
+    coding = Morphism.from_rules(extended, drop_primes, domain)
     return Construction(
         source=m, start=start, power=power,
         expanding=letter, companion=companion,

@@ -8,7 +8,8 @@ text tokens; barred letters are written as the matching uppercase token,
 so the bar of ``a`` is ``A`` and ``a C b a`` reads "a, c-bar, b, a".  A
 morphism sends every symbol of its domain alphabet to a word over its
 codomain alphabet and extends to words by concatenating the images.  A
-coding is the symbol-to-symbol case.
+coding is the symbol-to-symbol case: a morphism whose images are single
+letters, that is, a 1-uniform morphism.
 
 A morphism whose image of a chosen start symbol begins with that symbol
 (and whose remainder never dies out under iteration) has a unique
@@ -288,48 +289,6 @@ class Morphism:
         return result
 
 
-@dataclass(frozen=True)
-class Coding:
-    """Symbol-to-symbol map, i.e. the 1-uniform morphism case."""
-
-    domain: Alphabet
-    codomain: Alphabet
-    table: tuple[int, ...]
-    _lookup: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != len(self.domain.symbols):
-            raise ValueError("exactly one image symbol per domain symbol required")
-        if table and not (0 <= min(table) and max(table) < len(self.codomain.symbols)):
-            raise DomainError("coding image out of range for the codomain")
-        object.__setattr__(self, "_lookup", np.array(table, dtype=self.codomain.dtype))
-
-    @classmethod
-    def from_rules(cls, domain: Alphabet, mapping: Mapping[str, str],
-                   codomain: Optional[Alphabet] = None) -> "Coding":
-        missing = [s for s in domain.symbols if s not in mapping]
-        if missing:
-            raise ValueError(f"no image given for symbols {missing}")
-        if codomain is None:
-            seen: list[str] = []
-            for sym in domain.symbols:
-                if mapping[sym] not in seen:
-                    seen.append(mapping[sym])
-            codomain = Alphabet(tuple(seen))
-        table = tuple(codomain.index(mapping[s]) for s in domain.symbols)
-        return cls(domain, codomain, table)
-
-    def image_token(self, symbol: str) -> str:
-        return self.codomain.symbols[self.table[self.domain.index(symbol)]]
-
-    def apply(self, word: Word) -> Word:
-        if word.alphabet != self.domain:
-            raise DomainError("word is not over this coding's domain alphabet")
-        return Word._of(self.codomain, self._lookup.take(word.indices))
-
-
 def _mortal_letters(m: Morphism) -> frozenset[int]:
     # letters whose iterated image eventually becomes the empty word
     images = [img.indices.tolist() for img in m.images]
@@ -362,14 +321,14 @@ class MorphicSpec:
     """A morphism, a start symbol and an optional output coding.
 
     Without a coding the spec denotes the pure fixed point of the
-    morphism; with one it denotes the symbol-wise image of that fixed
-    point.  Construction fails unless the morphism is prolongable at
-    the start symbol.
+    morphism; with one, a 1-uniform morphism on the same alphabet, it
+    denotes the symbol-wise image of that fixed point.  Construction
+    fails unless the morphism is prolongable at the start symbol.
     """
 
     morphism: Morphism
     start: str
-    coding: Optional[Coding] = None
+    coding: Optional[Morphism] = None
 
     def __post_init__(self):
         if self.morphism.domain != self.morphism.codomain:
@@ -377,8 +336,11 @@ class MorphicSpec:
         if not is_prolongable(self.morphism, self.start):
             raise ProlongabilityError(
                 f"image of {self.start!r} must begin with it and keep growing under iteration")
-        if self.coding is not None and self.coding.domain != self.morphism.domain:
-            raise DomainError("coding domain must match the morphism alphabet")
+        if self.coding is not None:
+            if self.coding.domain != self.morphism.domain:
+                raise DomainError("coding domain must match the morphism alphabet")
+            if self.coding.uniform_width != 1:
+                raise ValueError("a coding must map every symbol to exactly one symbol")
 
     @property
     def output_alphabet(self) -> Alphabet:
@@ -432,7 +394,7 @@ def spec_to_json(spec: MorphicSpec) -> dict:
         "start": spec.start,
     }
     if spec.coding is not None:
-        data["coding"] = {s: spec.coding.image_token(s)
+        data["coding"] = {s: spec.coding.image(s)[0]
                           for s in spec.coding.domain.symbols}
     return data
 
@@ -442,5 +404,8 @@ def spec_from_json(data: Mapping) -> MorphicSpec:
     morphism = Morphism.from_rules(alphabet, data["rules"])
     coding = None
     if data.get("coding"):
-        coding = Coding.from_rules(alphabet, data["coding"])
+        rules = data["coding"]
+        # the codomain lists the image symbols in the order they first occur
+        seen = dict.fromkeys(t for s in alphabet.symbols for t in _tokens(rules.get(s, ())))
+        coding = Morphism.from_rules(alphabet, rules, Alphabet(tuple(seen)))
     return MorphicSpec(morphism, data["start"], coding)

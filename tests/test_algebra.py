@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hanoiseq import algebra
 from hanoiseq.algebra import (InsufficientTruncationError, Relation, Series,
                               evaluate_relation, find_algebraic_relation,
                               is_prime, nullspace_mod, period_doubling_relation,
@@ -92,7 +93,57 @@ class TestSeries:
             assert square == spread
 
 
+def naive_residue(rel, coeffs, q):
+    # sum_i polys[i] * F^i with F^0 = 1, in Python integers
+    order = len(coeffs)
+    power = [1] + [0] * (order - 1)
+    total = [0] * order
+    for poly in rel.polys:
+        for j, c in enumerate(poly[:order]):
+            for k in range(order - j):
+                total[j + k] += c * power[k]
+        power = [sum(power[k] * coeffs[n - k] for k in range(n + 1)) % q
+                 for n in range(order)]
+    return [t % q for t in total]
+
+
+def unit_operands(monkeypatch, work):
+    """The truncated products `work` makes with the full-order unit series
+    1 + 0X + ... as an operand."""
+    calls = []
+    real = algebra.truncated_product
+
+    def spy(a, b, order, q):
+        calls.append((a, b, order))
+        return real(a, b, order, q)
+
+    monkeypatch.setattr(algebra, "truncated_product", spy)
+    work()
+    return [(a, b) for a, b, order in calls
+            for x in (a, b) if len(x) >= order and x[0] == 1 and not x[1:order].any()]
+
+
 class TestEvaluateRelation:
+    def test_matches_naive_sum_of_powers(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            q = rng.choice((2, 3, 5, 7))
+            order = rng.randint(1, 40)
+            coeffs = [rng.randrange(q) for _ in range(order)]
+            polys = tuple(tuple(rng.randrange(q) for _ in range(rng.randint(0, 4)))
+                          for _ in range(rng.randint(1, 4)))
+            if not any(map(any, polys)):
+                continue
+            rel = Relation(q, polys)
+            got = evaluate_relation(rel, Series(q, coeffs)).coeffs.tolist()
+            assert got == naive_residue(rel, coeffs, q)
+
+    def test_no_product_with_the_unit_series(self, monkeypatch):
+        f = pd_series(1024)
+        assert not unit_operands(
+            monkeypatch, lambda: evaluate_relation(period_doubling_relation(), f))
+        assert not unit_operands(monkeypatch, lambda: find_algebraic_relation(f, 3, 2))
+
     def test_period_doubling_relation_vanishes(self):
         residue = evaluate_relation(period_doubling_relation(), pd_series(4096))
         assert residue.is_zero()
@@ -156,6 +207,9 @@ class TestFindRelation:
         series = series_from_sequence(catalog_prefix("fibonacci", 512), 2, 512,
                                       value_map=mapping)
         assert find_algebraic_relation(series, 2, 4) is None
+
+    def test_degree_zero_finds_nothing(self):
+        assert find_algebraic_relation(pd_series(512), 0, 2) is None
 
     def test_insufficient_truncation(self):
         with pytest.raises(InsufficientTruncationError):

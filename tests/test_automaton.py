@@ -1,5 +1,6 @@
 import pytest
 
+from hanoiseq import automaton
 from hanoiseq.automaton import (NonUniformError,
                                 dfao_from_uniform_morphism, kernel_explore)
 from hanoiseq.catalog import BINARY_ALPHABET, morphic_entry
@@ -145,6 +146,21 @@ class TestKernelExplore:
         word = Word.from_tokens(BINARY_ALPHABET, "0 1 1 0")
         report = kernel_explore(word, 2, 8)
         assert report.insufficient_evidence
+
+    def test_work_budget(self, thue_morse_64k, monkeypatch):
+        # thue-morse is 2-automatic but not 3-automatic: its radix-3 kernel
+        # keeps opening classes, while the radix-2 one closes at two
+        monkeypatch.setattr(automaton, "_KERNEL_WORK_MAX", 1 << 22)
+        assert kernel_explore(thue_morse_64k, 2, 10).class_count == 2
+        with pytest.raises(ValueError, match="kernel budget exceeded"):
+            kernel_explore(thue_morse_64k, 3, 8)
+
+    def test_budget_counts_the_fixed_cost_of_each_comparison(self, monkeypatch):
+        # one-symbol overlaps: the work is comparisons times the fixed cost
+        word = Word.from_tokens(BINARY_ALPHABET, "0 1")
+        monkeypatch.setattr(automaton, "_KERNEL_WORK_MAX", automaton._COMPARISON_COST)
+        with pytest.raises(ValueError, match="after 0 comparisons against 1 classes"):
+            kernel_explore(word, 2, 1)
 
     def test_bad_arguments(self):
         word = Word.from_tokens(BINARY_ALPHABET, "0 1")

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 
 import pytest
 
@@ -461,7 +462,7 @@ UNBUDGETED = {
     (("hanoi", "verify"), "--disks"): "moves_budget refuses past 2^26 moves",
     (("squarefree",), "--max-period"): "squarefree_check has its own scan budget",
     (("eval",), "--index"): "one automaton step per digit, O(log n)",
-    (("kernel",), "--depth"): "only new classes are refined, so the class count bounds it",
+    (("kernel",), "--depth"): "kernel_explore's work budget bounds the comparisons",
 }
 
 
@@ -507,3 +508,18 @@ class TestInputBudgets:
         # thue-morse holds a square within 64 symbols
         assert run(shlex.split(argv) + [str(limit)]) in (0, 1)
         assert out_of(capsys)[1] == ""
+
+    @pytest.mark.parametrize("argv", [
+        "kernel --seq thue-morse --radix 3",
+        "kernel --seq cyclic-hanoi --depth 10",
+        "kernel --seq fibonacci --length 16777216",
+        "kernel --seq fibonacci --radix 256 --length 1048576",
+    ])
+    def test_kernel_work_budget_refuses_in_seconds(self, argv, capsys):
+        # sequences that are not k-automatic open a new class almost every
+        # time; unbudgeted these ran from 10 s to past 40 s
+        start = time.perf_counter()
+        assert run(shlex.split(argv)) == 2
+        assert time.perf_counter() - start < 5
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("error: kernel budget exceeded: ")

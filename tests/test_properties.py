@@ -17,7 +17,8 @@ from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
                                  construct_nonuniform, validation_failures)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
-from hanoiseq.words import Alphabet, Coding, Morphism, MorphicSpec, Word
+from hanoiseq.words import (Alphabet, Morphism, MorphicSpec, Word, spec_from_json,
+                            spec_to_json)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -45,12 +46,17 @@ def morphisms(draw, uniform=None, max_letters=6):
     return images
 
 
+def coding_of(domain: Alphabet, codomain: Alphabet, table) -> Morphism:
+    """The 1-uniform morphism sending domain letter i to codomain letter table[i]."""
+    return Morphism(domain, codomain, tuple(Word(codomain, (j,)) for j in table))
+
+
 def build_spec(images, coding_table=None) -> MorphicSpec:
     alphabet = alphabet_of(len(images))
     morphism = Morphism(alphabet, alphabet, tuple(Word(alphabet, img) for img in images))
     coding = None
     if coding_table is not None:
-        coding = Coding(alphabet, alphabet_of(max(coding_table) + 1), coding_table)
+        coding = coding_of(alphabet, alphabet_of(max(coding_table) + 1), coding_table)
     return MorphicSpec(morphism, "s0", coding)
 
 
@@ -83,6 +89,44 @@ def test_automaton_evaluates_the_prefix(data):
     dfao = dfao_from_uniform_morphism(spec)
     prefix = spec.prefix(200).tokens()
     assert [dfao.eval(i) for i in range(200)] == list(prefix)
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 200))
+def test_coded_spec_survives_json(data, length):
+    images = data.draw(morphisms())
+    morphism = build_spec(images).morphism
+    domain = morphism.domain
+    names = data.draw(st.permutations(["t0", "t1", "t2", "t3"]))
+    table = data.draw(st.lists(st.sampled_from(names), min_size=len(images),
+                               max_size=len(images)))
+    rules = dict(zip(domain.symbols, table))
+    # spec_from_json lists the image symbols in the order they first occur
+    seen = Alphabet(tuple(dict.fromkeys(table)))
+    spec = MorphicSpec(morphism, "s0", Morphism.from_rules(domain, rules, seen))
+    assert spec_from_json(spec_to_json(spec)).prefix(length) == spec.prefix(length)
+    # over a codomain in another order, or with unused symbols, the terms survive
+    wide = MorphicSpec(morphism, "s0", Morphism.from_rules(domain, rules, Alphabet(names)))
+    again = spec_from_json(spec_to_json(wide))
+    assert again.output_alphabet == seen
+    assert again.prefix(length).tokens() == wide.prefix(length).tokens()
+
+
+@PROPERTY
+@given(st.data())
+def test_coding_images_must_be_single_letters(data):
+    spec = build_spec(data.draw(morphisms()))
+    domain = spec.morphism.domain
+    lengths = [1] * len(domain)
+    lengths[data.draw(st.integers(0, len(domain) - 1))] = data.draw(st.sampled_from([0, 2]))
+    coding = Morphism(domain, BINARY_ALPHABET,
+                      tuple(Word(BINARY_ALPHABET, [1] * k) for k in lengths))
+    with pytest.raises(ValueError, match="exactly one symbol"):
+        MorphicSpec(spec.morphism, spec.start, coding)
+    as_json = spec_to_json(spec)
+    as_json["coding"] = {s: " ".join(["1"] * k) for s, k in zip(domain.symbols, lengths)}
+    with pytest.raises(ValueError):
+        spec_from_json(as_json)
 
 
 @PROPERTY
@@ -164,7 +208,7 @@ def test_first_noncommuting_block_matches_block_loop(data):
                                                  for img in effective_images)),
         morphism=Morphism(extended, extended, tuple(
             Word(extended, img) for img in effective_images + [bad_image])),
-        coding=Coding(extended, source, tuple(range(n_src)) + (data.draw(letter),)))
+        coding=coding_of(extended, source, tuple(range(n_src)) + (data.draw(letter),)))
     primed = data.draw(st.lists(letter, min_size=8, max_size=60))
     for _ in range(data.draw(st.integers(0, 3))):
         primed.insert(data.draw(st.integers(0, len(primed))), n_src)
