@@ -268,6 +268,9 @@ def find_algebraic_relation(f: Series, max_degree: int, coeff_degree: int,
     32).  Deterministic: the lexicographically smallest null-space basis
     vector is returned.
     """
+    for name, degree in (("max_degree", max_degree), ("coeff_degree", coeff_degree)):
+        if degree < 0:
+            raise ValueError(f"{name} must be >= 0, got {degree}")
     q = f.modulus
     order = f.order if order is None else order
     if order > f.order:

@@ -9,6 +9,7 @@ Output is deterministic: the same argv always produces the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -188,7 +189,8 @@ def cmd_census(args) -> Result:
 
 def cmd_squarefree(args) -> Result:
     word = catalog_prefix(args.seq, args.length)
-    max_period = args.max_period or max(1, args.length // 2)
+    max_period = (max(1, args.length // 2) if args.max_period is None
+                  else args.max_period)
     hit = squarefree_check(word, max_period)
     payload = {"seq": args.seq, "length": args.length, "max_period": max_period,
                "square": list(hit) if hit else None}
@@ -223,7 +225,7 @@ def cmd_construct(args) -> Result:
     for sym in construction.morphism.domain.symbols:
         lines.append(f"{sym} -> {construction.morphism.image(sym).text()}")
     status = 0
-    if args.validate:
+    if args.validate is not None:
         failures = validation_failures(construction, args.validate)
         data["validated_length"] = args.validate
         data["valid"] = not failures
@@ -325,7 +327,7 @@ def cmd_derive(args) -> Result:
 
 def cmd_eval(args) -> Result:
     dfao = dfao_from_uniform_morphism(morphic_entry(args.seq))
-    if args.index is None and not args.check_prefix:
+    if args.index is None and args.check_prefix is None:
         raise ValueError("give --index and/or --check-prefix")
     status = 0
     lines = []
@@ -334,7 +336,7 @@ def cmd_eval(args) -> Result:
         symbol = dfao.eval(args.index)
         lines.append(symbol)
         payload.update(index=args.index, symbol=symbol)
-    if args.check_prefix:
+    if args.check_prefix is not None:
         prefix = catalog_prefix(args.seq, args.check_prefix).tokens()
         bad = next((n for n in range(args.check_prefix)
                     if dfao.eval(n) != prefix[n]), None)
@@ -460,12 +462,12 @@ def _add_arguments(parser, command: Command):
     # --format goes last so that every usage line ends with it
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    # looked up per request, so that a rebound cmd_* attribute is the one called
-    parser.set_defaults(func=globals()[command.handler])
-    return parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every request, built on first use and kept for the
+    life of the process; nothing mutates it after that."""
     parser = argparse.ArgumentParser(
         prog="hanoiseq",
         description="Tower of Hanoi move sequences, morphisms and automata")
@@ -482,40 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _ParseError(Exception):
-    pass
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ParseError(message)
-
-
-def _parse_one_command(argv):
-    """The namespace the full parser would give a request that names a
-    command, built from that command's parser alone.  None when the full
-    parser must answer: no command named, help above the command level, a
-    parse error, or leftover arguments (argparse reports those with the
-    top-level prog)."""
-    path = tuple(argv[:2] if argv[:1] and argv[0] in GROUPS else argv[:1])
-    if path not in COMMANDS:
-        return None
-    args = argparse.Namespace(command=path[0])
-    if len(path) == 2:
-        setattr(args, f"{path[0]}_command", path[1])
-    parser = _add_arguments(_OneCommandParser(prog=" ".join(("hanoiseq",) + path)),
-                            COMMANDS[path])
-    try:
-        args, extras = parser.parse_known_args(argv[len(path):], args)
-    except _ParseError:
-        return None
-    return None if extras else args
-
-
-def _check_budgets(args) -> None:
-    path = (args.command,)
-    if args.command in GROUPS:
-        path += (getattr(args, f"{args.command}_command"),)
+def _check_budgets(path, args) -> None:
     for flag, name in COMMANDS[path].budgets.items():
         value, limit = getattr(args, flag[2:].replace("-", "_")), getattr(hanoi, name)
         if value is not None and value > limit:
@@ -524,16 +493,18 @@ def _check_budgets(args) -> None:
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    args = _parse_one_command(argv)
-    if args is None:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            parser.print_usage(sys.stderr)
-            return 2
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    path = (args.command,)
+    if args.command in GROUPS:
+        path += (getattr(args, f"{args.command}_command"),)
+    if path not in COMMANDS:
+        parser.print_usage(sys.stderr)
+        return 2
     try:
-        _check_budgets(args)
-        status, lines, payload = args.func(args)
+        _check_budgets(path, args)
+        # looked up per request, so that a rebound cmd_* attribute is the one called
+        status, lines, payload = globals()[COMMANDS[path].handler](args)
         if payload is not None:
             _emit(args.format, lines, payload)
         return status

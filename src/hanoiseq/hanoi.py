@@ -36,7 +36,7 @@ MOVE_PEGS = {"a": (0, 1), "b": (1, 2), "c": (2, 0),
 _PEG_MOVE = {pegs: move for move, pegs in MOVE_PEGS.items()}
 PEG_NAMES = ("I", "II", "III")
 
-# budgets: squarefree_check scans (see there), solution moves (moves_budget)
+# budgets: squarefree_check scans (see there), solution moves (solution_length)
 # and the sizes a CLI request may ask for (the command table in cli.py)
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
@@ -267,23 +267,18 @@ def classical_target(disks: int) -> str:
     return "II" if disks % 2 else "III"
 
 
-def moves_budget(disks: int) -> int:
-    """Moves one solution may make; refuses N disks if 2^N - 1 exceeds it."""
-    if disks >= (_MOVES_MAX + 1).bit_length():
-        raise ValueError(f"moves budget exceeded: {disks} disks need at least "
-                         f"2^{disks} - 1 moves, more than {_MOVES_MAX}")
-    return _MOVES_MAX
-
-
 def solution_length(variant: Variant, disks: int) -> int:
     """Moves after which the variant's catalog sequence first completes N
     disks: 2^N - 1 classical, (3^N - 1)/2 lazy (the transfer I->II), and
     for cyclic R_N, the optimal transfer I->III, from Q_n = 2 R_{n-1} + 1
     and R_n = 2 R_{n-1} + Q_{n-1} + 2, or 1 move to peg II for one disk.
-    Refuses N disks when that length is past the moves budget."""
+    Refuses N disks when that length is past the moves budget, checking
+    2^N - 1, the shortest of the three, before computing any power."""
     if disks < 1:
         raise ValueError("disk count must be >= 1")
-    moves_budget(disks)
+    if disks >= (_MOVES_MAX + 1).bit_length():
+        raise ValueError(f"moves budget exceeded: {disks} disks need at least "
+                         f"2^{disks} - 1 moves, more than {_MOVES_MAX}")
     length = 2 ** disks - 1
     if variant == LAZY:
         length = (3 ** disks - 1) // 2
@@ -301,10 +296,7 @@ def solution_length(variant: Variant, disks: int) -> int:
 def verify_classical_prefix(disks: int) -> bool:
     """Does the length-(2^N - 1) prefix of the classical sequence move the
     tower to peg II (N odd) or III (N even), completing exactly at the end?"""
-    if disks < 1:
-        raise ValueError("disk count must be >= 1")
-    moves_budget(disks)
-    steps = 2 ** disks - 1
+    steps = solution_length(CLASSICAL, disks)
     word = catalog_lookup("classical-hanoi").prefix(steps)
     trace = simulate(word, disks, CLASSICAL)
     target = classical_target(disks)
@@ -375,9 +367,7 @@ def olive_solve(disks: int, target: Union[str, int]) -> Word:
     on II with N odd or on III with N even, and the other way round
     otherwise; this choice reproduces the classical sequence prefixes.
     """
-    if disks < 1:
-        raise ValueError("disk count must be >= 1")
-    moves_budget(disks)
+    steps = solution_length(CLASSICAL, disks)
     dst = peg_index(target)
     if dst == 0:
         raise ValueError("target must be II or III")
@@ -386,7 +376,7 @@ def olive_solve(disks: int, target: Union[str, int]) -> Word:
     pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
     home = 0
     out: list[str] = []
-    for step in range(1, 2 ** disks):
+    for step in range(1, steps + 1):
         if step % 2:
             nxt = (home + step_dir) % 3
             out.append(_PEG_MOVE[(home, nxt)])

@@ -211,6 +211,17 @@ class TestFindRelation:
     def test_degree_zero_finds_nothing(self):
         assert find_algebraic_relation(pd_series(512), 0, 2) is None
 
+    @pytest.mark.parametrize("degrees,name", [((-1, 2), "max_degree"),
+                                              ((2, -1), "coeff_degree"),
+                                              ((-3, 0), "max_degree")])
+    def test_negative_degree_refused_before_any_product(self, degrees, name,
+                                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("product computed for a negative degree")
+        monkeypatch.setattr(algebra, "truncated_product", refuse)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+            find_algebraic_relation(pd_series(512), *degrees)
+
     def test_insufficient_truncation(self):
         with pytest.raises(InsufficientTruncationError):
             find_algebraic_relation(pd_series(40), 2, 2)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import time
@@ -267,6 +268,13 @@ class TestOracles:
         out, _ = out_of(capsys)
         assert "position 5, period 2" in out
 
+    @pytest.mark.parametrize("period", ["0", "-1"])
+    def test_squarefree_max_period_below_one_is_refused(self, period, capsys):
+        # 0 is a period, not "no limit": the library refuses it
+        assert run(["squarefree", "--seq", "lazy-hanoi", "--length", "100",
+                    "--max-period", period]) == 2
+        assert out_of(capsys) == ("", "error: max_period must be >= 1\n")
+
     def test_kernel(self, capsys):
         assert run(["kernel", "--seq", "period-doubling", "--depth", "6",
                     "--length", "4096", "--format", "json"]) == 0
@@ -278,6 +286,14 @@ class TestOracles:
                     "--validate", "4096"]) == 0
         out, _ = out_of(capsys)
         assert "validation: ok" in out
+
+    def test_construct_validate_zero_checks_an_empty_prefix(self, capsys):
+        argv = ["construct-nonuniform", "--seq", "thue-morse", "--validate", "0"]
+        assert run(argv) == 0
+        assert out_of(capsys)[0].splitlines()[-1] == "validation: ok on 0 symbols"
+        assert run(argv + ["--format", "json"]) == 0
+        payload = json.loads(out_of(capsys)[0])
+        assert (payload["validated_length"], payload["valid"]) == (0, True)
 
     def test_construct_needs_uniform_morphism(self, capsys):
         assert run(["construct-nonuniform", "--seq", "fibonacci"]) == 2
@@ -295,6 +311,12 @@ class TestOracles:
                     "--map", "a=0,b=1", "--coeff-degree", "4"]) == 0
         out, _ = out_of(capsys)
         assert "no relation" in out
+
+    @pytest.mark.parametrize("flag,name", [("--dmax", "max_degree"),
+                                           ("--coeff-degree", "coeff_degree")])
+    def test_christol_search_refuses_negative_degree(self, flag, name, capsys):
+        assert run(["christol", "search", "--seq", "period-doubling", flag, "-1"]) == 2
+        assert out_of(capsys) == ("", f"error: {name} must be >= 0, got -1\n")
 
     def test_christol_search_reduces_large_map_values(self, capsys):
         # 10^30 = 1 mod 3: the same series as a=1,b=1
@@ -328,6 +350,12 @@ class TestOracles:
 
     def test_eval_check_prefix(self, capsys):
         assert run(["eval", "--seq", "lazy-hanoi", "--check-prefix", "729"]) == 0
+
+    @pytest.mark.parametrize("index,first", [([], []), (["--index", "5"], ["0"])])
+    def test_eval_check_prefix_zero_checks_an_empty_prefix(self, index, first, capsys):
+        assert run(["eval", "--seq", "thue-morse", *index, "--check-prefix", "0"]) == 0
+        assert out_of(capsys) == ("\n".join(
+            first + ["automaton agrees with the prefix for n < 0: yes", ""]), "")
 
     def test_eval_needs_uniform(self, capsys):
         assert run(["eval", "--seq", "fibonacci", "--index", "3"]) == 2
@@ -364,7 +392,8 @@ class TestRendering:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_commands_return_their_result_and_print_nothing(self, argv, fmt, capsys):
         args = _build_parser().parse_args(argv + ["--format", fmt])
-        status, lines, payload = args.func(args)
+        path = tuple(argv[:2] if argv[0] in cli.GROUPS else argv[:1])
+        status, lines, payload = getattr(cli, cli.COMMANDS[path].handler)(args)
         assert out_of(capsys) == ("", "")
         assert status in (0, 1) and isinstance(payload, dict)
         assert lines
@@ -397,41 +426,36 @@ class TestRendering:
         assert json.loads(out)
 
 
-def _outcome(argv, capsys):
-    try:
-        status = run(argv)
-    except SystemExit as exc:
-        status = exc.code
-    return (status, *out_of(capsys))
-
-
-def _raise_full_parser():
-    raise AssertionError("full parser built for a request that names a command")
-
-
-class TestOneCommandParser:
-    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_commands_run_without_the_full_parser(self, argv, fmt, monkeypatch, capsys):
-        argv = argv + ["--format", fmt]
-        monkeypatch.setattr(cli, "_parse_one_command", lambda argv: None)
-        expected = _outcome(argv, capsys)
-        monkeypatch.undo()
-        monkeypatch.setattr(cli, "_build_parser", _raise_full_parser)
-        assert _outcome(argv, capsys) == expected
-        assert expected[0] in (0, 1) and expected[1]
-
-    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
-    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
-    def test_handler_sees_the_full_parsers_namespace(self, argv, fmt):
-        assert (vars(cli._parse_one_command(argv + fmt))
-                == vars(_build_parser().parse_args(argv + fmt)))
-
+class TestOneParser:
     def test_handlers_are_looked_up_per_request(self, monkeypatch, capsys):
         # the traced benchmark run rebinds cmd_* in the module namespace
         monkeypatch.setattr(cli, "cmd_generate", lambda args: (0, ["stub"], {}))
         assert run(["generate", "thue-morse", "--length", "8"]) == 0
         assert out_of(capsys) == ("stub\n", "")
+
+    def test_rebinding_reaches_a_warm_parser(self, monkeypatch, capsys):
+        assert run(["generate", "thue-morse", "--length", "8"]) == 0
+        assert out_of(capsys) == ("0 1 1 0 1 0 0 1\n", "")
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: (0, ["stub"], {}))
+        assert run(["generate", "thue-morse", "--length", "8"]) == 0
+        assert out_of(capsys) == ("stub\n", "")
+
+    def test_full_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _build_parser.cache_clear()
+        for argv in ONE_PER_COMMAND:
+            assert run(argv) in (0, 1)
+            # a leftover argument is a parse error
+            with pytest.raises(SystemExit):
+                run(argv + ["--bogus"])
+        assert built.count("hanoiseq") == 1
 
 
 # (argv without the value, budget constant in hanoi)
@@ -458,8 +482,8 @@ BUDGETED = [
 SMALL_BUDGET = {"_BFS_DISKS_MAX": 3, "_MODULUS_MAX": 61}
 # int options without a budget in the command table, and what bounds them
 UNBUDGETED = {
-    (("hanoi", "solve"), "--disks"): "moves_budget refuses past 2^26 moves",
-    (("hanoi", "verify"), "--disks"): "moves_budget refuses past 2^26 moves",
+    (("hanoi", "solve"), "--disks"): "solution_length refuses past 2^26 moves",
+    (("hanoi", "verify"), "--disks"): "solution_length refuses past 2^26 moves",
     (("squarefree",), "--max-period"): "squarefree_check has its own scan budget",
     (("eval",), "--index"): "one automaton step per digit, O(log n)",
     (("kernel",), "--depth"): "kernel_explore's work budget bounds the comparisons",

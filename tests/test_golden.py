@@ -231,23 +231,6 @@ def test_parsing_surface(argv, code, out, err, capsys, monkeypatch):
     assert (status, _digest(captured.out), _digest(captured.err)) == (code, out, err)
 
 
-# the one-command parser declines every parse error, and the full parser
-# prints the pinned bytes
-PARSE_ERRORS = [p for p in PARSING_SURFACE if p[1] != 0]
-
-
-@pytest.mark.parametrize("argv,code,out,err", PARSE_ERRORS,
-                         ids=[p[0] or "(none)" for p in PARSE_ERRORS])
-def test_parse_errors_fall_back_to_the_full_parser(argv, code, out, err,
-                                                   monkeypatch, capsys):
-    one_command = cli._parse_one_command
-    answers = []
-    monkeypatch.setattr(cli, "_parse_one_command",
-                        lambda argv: answers.append(one_command(argv)))
-    test_parsing_surface(argv, code, out, err, capsys, monkeypatch)
-    assert answers == [None]
-
-
 def test_budgets_admit_every_documented_request():
     """The input budgets admit the pinned requests, the README examples and
     every request of the benchmark, 10^6-symbol renders included."""
@@ -261,4 +244,6 @@ def test_budgets_admit_every_documented_request():
                 + list(reference["bulk-prefix"]["render"]))
     assert any("--length 1000000" in r for r in requests)
     for request in requests:
-        cli._check_budgets(cli._parse_one_command(shlex.split(request)))
+        argv = shlex.split(request)
+        path = tuple(argv[:2] if argv[0] in cli.GROUPS else argv[:1])
+        cli._check_budgets(path, cli._build_parser().parse_args(argv))
