@@ -426,7 +426,46 @@ class TestRendering:
         assert json.loads(out)
 
 
+def _outcome(argv, capsys):
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *out_of(capsys))
+
+
+def _other_requests(argv, fmt):
+    """Every other request of ONE_PER_COMMAND in the other format, and a
+    parse error: what a warm parser has seen before argv reaches it."""
+    other = ["--format", "json" if fmt == "text" else "text"]
+    return [a + other for a in ONE_PER_COMMAND if a is not argv] + [argv + ["--bogus"]]
+
+
 class TestOneParser:
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_warm_parser_answers_like_a_cold_one(self, argv, fmt, capsys):
+        request = argv + ["--format", fmt]
+        _build_parser.cache_clear()
+        expected = _outcome(request, capsys)
+        for earlier in _other_requests(argv, fmt):
+            _outcome(earlier, capsys)
+        assert _build_parser.cache_info().misses == 1
+        assert _outcome(request, capsys) == expected
+        assert expected[0] in (0, 1) and expected[1]
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=" ".join)
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_a_request_sees_nothing_of_earlier_ones(self, argv, fmt):
+        parser = _build_parser()
+        for earlier in _other_requests(argv, "json" if fmt else "text"):
+            try:
+                parser.parse_args(earlier)
+            except SystemExit:
+                pass
+        fresh = _build_parser.__wrapped__()
+        assert vars(parser.parse_args(argv + fmt)) == vars(fresh.parse_args(argv + fmt))
+
     def test_handlers_are_looked_up_per_request(self, monkeypatch, capsys):
         # the traced benchmark run rebinds cmd_* in the module namespace
         monkeypatch.setattr(cli, "cmd_generate", lambda args: (0, ["stub"], {}))

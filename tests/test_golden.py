@@ -231,6 +231,21 @@ def test_parsing_surface(argv, code, out, err, capsys, monkeypatch):
     assert (status, _digest(captured.out), _digest(captured.err)) == (code, out, err)
 
 
+# a parse error on a parser that has already answered a request prints
+# the same pinned bytes, and the parser is not built again for it
+PARSE_ERRORS = [p for p in PARSING_SURFACE if p[1] != 0]
+
+
+@pytest.mark.parametrize("argv,code,out,err", PARSE_ERRORS,
+                         ids=[p[0] or "(none)" for p in PARSE_ERRORS])
+def test_parse_errors_on_a_warm_parser(argv, code, out, err, monkeypatch, capsys):
+    assert run(shlex.split(GOLDEN[0][0])) == GOLDEN[0][1]
+    capsys.readouterr()
+    misses = cli._build_parser.cache_info().misses
+    test_parsing_surface(argv, code, out, err, capsys, monkeypatch)
+    assert cli._build_parser.cache_info().misses == misses
+
+
 def test_budgets_admit_every_documented_request():
     """The input budgets admit the pinned requests, the README examples and
     every request of the benchmark, 10^6-symbol renders included."""
