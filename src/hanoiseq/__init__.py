@@ -17,8 +17,7 @@ from .hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError, EmptySourceError,
                     bfs_optimal, factor_census, olive_solve, simulate,
                     squarefree_check, variant_by_name, verify_classical_prefix)
 from .nonuniform import (Construction, ConstructionError, construct_nonuniform,
-                         find_expanding_letter, validation_failures,
-                         verify_fixed_point_equality)
+                         find_expanding_letter, validation_failures)
 from .toeplitz import HOLE, NonConvergentError, ToeplitzSpec, fill_pass, toeplitz_expand
 from .words import (Alphabet, DomainError, Morphism, MorphicSpec,
                     ProlongabilityError, Word, is_prolongable, spec_from_json,

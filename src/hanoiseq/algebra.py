@@ -65,15 +65,6 @@ class Series:
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def __mul__(self, other: "Series") -> "Series":
-        if self.modulus != other.modulus:
-            raise ValueError("series use different moduli")
-        return Series(self.modulus, truncated_product(
-            self.coeffs, other.coeffs, min(self.order, other.order), self.modulus))
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus, "coeffs": self.coeffs.tolist()}
-
 
 def truncated_product(a: np.ndarray, b: np.ndarray, order: int, q: int) -> np.ndarray:
     """a·b mod (X^order, q) for int64 arrays reduced mod q.  Each product
@@ -170,10 +161,6 @@ class Relation:
             raise ValueError("relation must not be identically zero")
         object.__setattr__(self, "polys", polys)
 
-    @property
-    def degree(self) -> int:
-        return len(self.polys) - 1
-
     def normalized(self) -> "Relation":
         """Divide out the common polynomial factor and make the leading
         polynomial monic; null spaces determine relations only up to
@@ -259,10 +246,10 @@ def nullspace_mod(matrix, q: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def find_algebraic_relation(f: Series, max_degree: int, coeff_degree: int,
-                            order: Optional[int] = None) -> Optional[Relation]:
+def find_algebraic_relation(f: Series, max_degree: int,
+                            coeff_degree: int) -> Optional[Relation]:
     """Relation with deg_F <= max_degree and polynomial coefficients of
-    degree <= coeff_degree annihilating f up to the order, or None.
+    degree <= coeff_degree annihilating f up to its order, or None.
 
     Needs comfortably more equations than unknowns (an extra margin of
     32).  Deterministic: the lexicographically smallest null-space basis
@@ -272,16 +259,14 @@ def find_algebraic_relation(f: Series, max_degree: int, coeff_degree: int,
         if degree < 0:
             raise ValueError(f"{name} must be >= 0, got {degree}")
     q = f.modulus
-    order = f.order if order is None else order
-    if order > f.order:
-        raise ValueError("order exceeds the series truncation")
+    order = f.order
     unknowns = (max_degree + 1) * (coeff_degree + 1)
     if order <= unknowns + 32:
         raise InsufficientTruncationError(
             f"{unknowns} unknowns need order > {unknowns + 32}, got {order}")
     unit = np.zeros(order, dtype=np.int64)
     unit[0] = 1
-    powers = [unit, f.coeffs[:order]][:max_degree + 1]
+    powers = [unit, f.coeffs][:max_degree + 1]
     while len(powers) <= max_degree:
         powers.append(truncated_product(powers[-1], f.coeffs, order, q))
     columns = []

@@ -73,17 +73,6 @@ class Dfao:
             state = table[state][d]
         return self.output[state]
 
-    def to_json(self) -> dict:
-        syms = self.states.symbols
-        return {
-            "radix": self.radix,
-            "initial": self.initial,
-            "states": list(syms),
-            "transitions": {s: [syms[t] for t in row]
-                            for s, row in zip(syms, self.transitions)},
-            "output": dict(zip(syms, self.output)),
-        }
-
 
 def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     """Automaton evaluating the spec's sequence from base-k digits."""

@@ -17,20 +17,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hanoi
-from .algebra import (InsufficientTruncationError, evaluate_relation,
-                      find_algebraic_relation, period_doubling_relation,
-                      series_from_sequence)
-from .automaton import NonUniformError, dfao_from_uniform_morphism, kernel_explore
+from .algebra import (evaluate_relation, find_algebraic_relation,
+                      period_doubling_relation, series_from_sequence)
+from .automaton import dfao_from_uniform_morphism, kernel_explore
 from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
 from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
                          doublefree_oracle)
-from .hanoi import (VariantViolationError, bfs_optimal, classical_target,
-                    factor_census, olive_solve, simulate, solution_length,
-                    squarefree_check, variant_by_name, verify_classical_prefix)
-from .nonuniform import (ConstructionError, construct_nonuniform,
-                         validation_failures)
-from .toeplitz import NonConvergentError, ToeplitzSpec, toeplitz_expand
-from .words import DomainError, ProlongabilityError, Word
+from .hanoi import (bfs_optimal, classical_target, factor_census, olive_solve,
+                    simulate, solution_length, squarefree_check, variant_by_name,
+                    verify_classical_prefix)
+from .nonuniform import construct_nonuniform, validation_failures
+from .toeplitz import ToeplitzSpec, toeplitz_expand
+from .words import Word
 
 _SEQUENCE_FOR_VARIANT = {
     "classical": "classical-hanoi",
@@ -368,6 +366,11 @@ _VARIANT = _arg("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="cla
 _LENGTH = {"--length": "_LENGTH_MAX"}
 _ORDER = {"--order": "_ORDER_MAX"}
 
+# the least value of the options whose library refusal would name a parameter
+# instead of the flag; --radix, --width and --modulus keep the library's check
+_MINIMUMS = {"--max-period": 1, "--dmax": 0, "--coeff-degree": 0, "--order": 0,
+             "--check-prefix": 0, "--validate": 0}
+
 GROUPS = {"hanoi": "puzzle solving and verification",
           "christol": "algebraic relations of series over F_q"}
 
@@ -485,6 +488,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_budgets(path, args) -> None:
+    for flags, _options in COMMANDS[path].arguments:
+        least = _MINIMUMS.get(flags[0])
+        if least is not None:
+            flag = flags[0]
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
     for flag, name in COMMANDS[path].budgets.items():
         value, limit = getattr(args, flag[2:].replace("-", "_")), getattr(hanoi, name)
         if value is not None and value > limit:
@@ -508,9 +518,7 @@ def run(argv) -> int:
         if payload is not None:
             _emit(args.format, lines, payload)
         return status
-    except (UnknownSequenceError, DomainError, NonUniformError,
-            ProlongabilityError, NonConvergentError, VariantViolationError,
-            ConstructionError, InsufficientTruncationError, ValueError) as exc:
+    except (UnknownSequenceError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

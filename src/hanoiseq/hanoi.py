@@ -191,7 +191,7 @@ class Trace:
 
     disks: int
     variant: Variant
-    moves: tuple[str, ...]
+    moves: Word
     events: tuple[tuple[int, int, str], ...]
     final: HanoiState
     error: Optional[str] = None
@@ -229,18 +229,17 @@ class Trace:
         }
 
 
-def simulate(moves, disks: int, variant: Variant = CLASSICAL) -> Trace:
-    """Replay a move word (a Word, a spaced string or a sequence of move
-    letters) on N disks from the standard start."""
-    tokens = moves.tokens() if isinstance(moves, Word) else tuple(
-        moves.split() if isinstance(moves, str) else moves)
+def simulate(word: Word, disks: int, variant: Variant = CLASSICAL) -> Trace:
+    """Replay a move word on N disks from the standard start."""
+    symbols = word.alphabet.symbols
     floor = disks + 1
     pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
     events: list[tuple[int, int, str]] = []
     done = 0  # disks 1..done have stood together on a non-initial peg
     error = None
     step = 0
-    for step, move in enumerate(tokens, start=1):
+    for step, index in enumerate(memoryview(word.indices), start=1):
+        move = symbols[index]
         if move not in variant.moves:
             raise VariantViolationError(
                 f"unknown move {move!r} at step {step}" if move not in MOVE_PEGS else
@@ -259,7 +258,7 @@ def simulate(moves, disks: int, variant: Variant = CLASSICAL) -> Trace:
                 done += 1
                 events.append((step, done, PEG_NAMES[dst]))
     final = HanoiState(tuple(tuple(p[1:]) for p in pegs))
-    return Trace(disks, variant, tokens[:step], tuple(events), final, error)
+    return Trace(disks, variant, word[:step], tuple(events), final, error)
 
 
 def classical_target(disks: int) -> str:

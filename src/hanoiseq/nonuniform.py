@@ -21,20 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .words import (Alphabet, DomainError, Morphism, MorphicSpec,
-                    ProlongabilityError, Word, is_prolongable, spec_to_json)
+from .words import (Alphabet, Morphism, MorphicSpec, ProlongabilityError, Word,
+                    is_prolongable, spec_to_json)
 
 
 class ConstructionError(ValueError):
     """No valid expanding-letter decomposition was found."""
-
-
-def verify_fixed_point_equality(spec_a: MorphicSpec, spec_b: MorphicSpec,
-                                length: int) -> bool:
-    """Do two specs produce identical coded prefixes of the given length?"""
-    if spec_a.output_alphabet != spec_b.output_alphabet:
-        raise DomainError("specs produce sequences over different alphabets")
-    return spec_a.prefix(length) == spec_b.prefix(length)
 
 
 def _reachable(m: Morphism, start: str) -> set[int]:

@@ -37,36 +37,31 @@ class ToeplitzSpec:
 
     pattern: tuple[str, ...]
     alphabet: Alphabet
-    hole: str = HOLE
 
     def __post_init__(self):
         pattern = _tokens(self.pattern)
         object.__setattr__(self, "pattern", pattern)
         if not pattern:
             raise NonConvergentError("pattern must not be empty")
-        if pattern[0] == self.hole:
+        if pattern[0] == HOLE:
             raise NonConvergentError("pattern must not begin with a hole")
-        if self.hole in self.alphabet:
-            raise ValueError(f"hole token {self.hole!r} collides with an alphabet symbol")
+        if HOLE in self.alphabet:
+            raise ValueError(f"hole token {HOLE!r} collides with an alphabet symbol")
         for tok in pattern:
-            if tok != self.hole and tok not in self.alphabet:
+            if tok != HOLE and tok not in self.alphabet:
                 raise DomainError(f"pattern symbol {tok!r} is not in the alphabet")
 
     @classmethod
-    def from_tokens(cls, tokens: TokenSeq, alphabet: Optional[Alphabet] = None,
-                    hole: str = HOLE) -> "ToeplitzSpec":
+    def from_tokens(cls, tokens: TokenSeq,
+                    alphabet: Optional[Alphabet] = None) -> "ToeplitzSpec":
         toks = _tokens(tokens)
         if alphabet is None:
             seen: list[str] = []
             for t in toks:
-                if t != hole and t not in seen:
+                if t != HOLE and t not in seen:
                     seen.append(t)
             alphabet = Alphabet(tuple(seen))
-        return cls(toks, alphabet, hole)
-
-    @property
-    def period(self) -> int:
-        return len(self.pattern)
+        return cls(toks, alphabet)
 
     def prefix(self, length: int) -> Word:
         return toeplitz_expand(self, length)
@@ -78,8 +73,8 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
         raise ValueError("length must be >= 0")
     alphabet = spec.alphabet
     period = len(spec.pattern)
-    is_hole = np.array([t == spec.hole for t in spec.pattern])
-    cells = np.array([0 if t == spec.hole else alphabet.index(t) for t in spec.pattern],
+    is_hole = np.array([t == HOLE for t in spec.pattern])
+    cells = np.array([0 if t == HOLE else alphabet.index(t) for t in spec.pattern],
                      dtype=alphabet.dtype)
     holes_before = np.concatenate(([0], np.cumsum(is_hole)))
     hole_columns = np.flatnonzero(is_hole)
@@ -102,7 +97,7 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
     return Word._of(alphabet, out)
 
 
-def fill_pass(tokens: TokenSeq, hole: str = HOLE) -> tuple[str, ...]:
+def fill_pass(tokens: TokenSeq) -> tuple[str, ...]:
     """One filling step: replace the holes, in order, by the sequence itself.
 
     Works on a finite prefix; the replacement values are drawn from the
@@ -112,7 +107,7 @@ def fill_pass(tokens: TokenSeq, hole: str = HOLE) -> tuple[str, ...]:
     out = list(seq)
     j = 0
     for i, tok in enumerate(seq):
-        if tok == hole:
+        if tok == HOLE:
             if j >= len(seq):
                 raise NonConvergentError("prefix too short to fill its own holes")
             out[i] = seq[j]

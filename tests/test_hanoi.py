@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hanoiseq.catalog import catalog_prefix
+from hanoiseq.catalog import HANOI_ALPHABET, catalog_prefix
 from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError,
                             EmptySourceError, HanoiState, MOVE_ORDER,
                             UnreachableError, Variant, VariantViolationError,
@@ -63,13 +63,13 @@ class TestSimulate:
         assert trace.events == ((1, 1, "II"), (3, 2, "III"), (7, 3, "II"))
 
     def test_empty_word(self):
-        trace = simulate([], 4, CLASSICAL)
+        trace = simulate(Word(HANOI_ALPHABET), 4, CLASSICAL)
         assert trace.ok
         assert trace.events == ()
 
     def test_variant_violation(self):
         with pytest.raises(VariantViolationError):
-            simulate(["a", "c"], 2, LAZY)
+            simulate(Word.from_tokens(HANOI_ALPHABET, "a c"), 2, LAZY)
 
     def test_illegal_move_embedded(self):
         trace = simulate(catalog_prefix("classical-hanoi", 3), 1, CLASSICAL)
@@ -79,7 +79,7 @@ class TestSimulate:
         assert trace.event_for(1) == (1, 1, "II")
 
     def test_json_export(self):
-        trace = simulate("a C b", 2, CLASSICAL)
+        trace = simulate(Word.from_tokens(HANOI_ALPHABET, "a C b"), 2, CLASSICAL)
         data = trace.to_json()
         assert data["moves"] == ["a", "C", "b"]
         assert data["events"] == [[1, 1, "II"], [3, 2, "III"]]
@@ -225,7 +225,7 @@ class TestVariantSequences:
 class TestFactorCensus:
     def test_width_one_sliding_is_support(self, classical_64k):
         blocks = factor_census(classical_64k[:100], 1)
-        assert {b.text() for b in blocks} == set(classical_64k[:100].support())
+        assert {b.text() for b in blocks} == set(classical_64k[:100].tokens())
 
     def test_classical_aligned_triples(self):
         blocks = factor_census(catalog_prefix("classical-hanoi", 2 ** 12), 3,

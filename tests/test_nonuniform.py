@@ -4,37 +4,29 @@ import pytest
 
 from hanoiseq.catalog import morphic_entry
 from hanoiseq.nonuniform import (ConstructionError, construct_nonuniform,
-                                 find_expanding_letter, validation_failures,
-                                 verify_fixed_point_equality)
-from hanoiseq.words import DomainError, Morphism, MorphicSpec, Word
+                                 find_expanding_letter, validation_failures)
+from hanoiseq.words import Morphism, MorphicSpec, Word
 
 UNIFORM_NAMES = ("classical-hanoi", "lazy-hanoi", "period-doubling",
                  "thue-morse", "z-uniform")
 
 
+def same_prefix(name_a, name_b, length):
+    return morphic_entry(name_a).prefix(length) == morphic_entry(name_b).prefix(length)
+
+
 class TestFixedPointEquality:
     def test_classical_presentations_agree(self):
-        assert verify_fixed_point_equality(
-            morphic_entry("classical-hanoi-nonuniform"),
-            morphic_entry("classical-hanoi"), 10 ** 4)
+        assert same_prefix("classical-hanoi-nonuniform", "classical-hanoi", 10 ** 4)
 
     def test_lazy_presentations_agree(self):
-        assert verify_fixed_point_equality(
-            morphic_entry("lazy-hanoi-nonuniform"),
-            morphic_entry("lazy-hanoi"), 10 ** 4)
+        assert same_prefix("lazy-hanoi-nonuniform", "lazy-hanoi", 10 ** 4)
 
     def test_identity(self):
-        spec = morphic_entry("period-doubling")
-        assert verify_fixed_point_equality(spec, spec, 4096)
+        assert same_prefix("period-doubling", "period-doubling", 4096)
 
     def test_detects_difference(self):
-        assert not verify_fixed_point_equality(
-            morphic_entry("period-doubling"), morphic_entry("thue-morse"), 16)
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(DomainError):
-            verify_fixed_point_equality(
-                morphic_entry("classical-hanoi"), morphic_entry("thue-morse"), 16)
+        assert not same_prefix("period-doubling", "thue-morse", 16)
 
     def test_same_alphabet_as_uniform_counterparts(self):
         # the hand-built non-uniform morphisms add no letters, unlike the

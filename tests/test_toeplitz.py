@@ -44,7 +44,7 @@ def test_fill_is_idempotent_on_hole_free_prefixes():
 
 def test_repeated_fill_converges_to_limit():
     length = 256
-    stage = list(PAPERFOLDING.pattern) * (length // PAPERFOLDING.period)
+    stage = list(PAPERFOLDING.pattern) * (length // len(PAPERFOLDING.pattern))
     for _ in range(10):
         stage = list(fill_pass(stage))
     assert tuple(stage) == toeplitz_expand(PAPERFOLDING, length).tokens()
