@@ -33,6 +33,8 @@ from .words import Alphabet, MorphicSpec, Word
 # so the budget is about 0.5 s of comparing
 _KERNEL_WORK_MAX = 1 << 29
 _COMPARISON_COST = 2048
+# symbols compared before the rest of an overlap
+_HEAD = 64
 
 
 class NonUniformError(ValueError):
@@ -73,6 +75,28 @@ class Dfao:
             state = table[state][d]
         return self.output[state]
 
+    def eval_many(self, ns) -> Word:
+        """``eval`` at every index of an int64 array, as one word: one table
+        lookup per digit position, most significant first, and no step
+        above an index's leading digit."""
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and ns.min() < 0:
+            raise ValueError("index must be >= 0")
+        k = self.radix
+        steps = np.array(self.transitions, dtype=np.intp).ravel()
+        states = np.full(ns.shape, self.states.index(self.initial), dtype=np.intp)
+        power, top = 1, int(ns.max()) if ns.size else 0
+        while power * k <= top:
+            power *= k
+        higher = np.zeros_like(ns)  # ns // (power * k)
+        while power:
+            quotient = ns // power
+            digits = quotient - higher * k
+            states = np.where(quotient > 0, steps.take(states * k + digits), states)
+            higher, power = quotient, power // k
+        outputs = Alphabet(tuple(dict.fromkeys(self.output)))
+        return Word._of(outputs, np.array([outputs.index(s) for s in self.output]).take(states))
+
 
 def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     """Automaton evaluating the spec's sequence from base-k digits."""
@@ -99,17 +123,6 @@ class KernelReport:
     class_count: int
     consistent_up_to: int
     insufficient_evidence: bool
-
-    def to_json(self) -> dict:
-        return {
-            "radix": self.radix,
-            "depth": self.depth,
-            "prefix_length": self.prefix_length,
-            "representatives": [list(p) for p in self.representatives],
-            "class_count": self.class_count,
-            "consistent_up_to": self.consistent_up_to,
-            "insufficient_evidence": self.insufficient_evidence,
-        }
 
 
 def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
@@ -151,7 +164,9 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
                     f"{len(reps)} classes the work passes {_KERNEL_WORK_MAX} symbols "
                     f"(overlap plus {_COMPARISON_COST} per comparison)")
             comparisons += 1
-            if np.array_equal(sub[:m], rep_seq[:m]):
+            head = min(m, _HEAD)  # most unequal pairs already differ there
+            if (np.array_equal(sub[:head], rep_seq[:head])
+                    and np.array_equal(sub[head:m], rep_seq[head:m])):
                 overlaps.append(m)
                 matched = True
                 break

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BINARY_ALPHABET, HANOI_ALPHABET
-from .words import DomainError, Morphism, Word
+from .words import DomainError, Morphism, Word, _json_array, _text_line
 
 BAR_PROJECTION = Morphism.from_rules(
     HANOI_ALPHABET,
@@ -41,16 +41,35 @@ class IntSequence:
         object.__setattr__(self, "values", values)
 
     def text(self) -> str:
-        return " ".join(map(str, self.values.tolist()))
+        return _text_line(_decimal_cells(self.values, b" "))
 
-    def to_json(self) -> list[int]:
-        return self.values.tolist()
+    def json_text(self) -> str:
+        """The values as a JSON array, as ``json.dumps`` writes it."""
+        return _json_array(_decimal_cells(self.values, b", "))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, i: int) -> int:
         return self.values.item(i)
+
+
+def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
+    """Each value's decimal digits and the separator, concatenated: rows
+    as wide as the largest value, right-aligned, less their leading zeros
+    (by boolean indexing: ``compress`` builds an 8-byte index per cell)."""
+    width = len(str(values.max())) if values.size else 1
+    table = np.empty((len(values), width + len(separator)), dtype=np.uint8)
+    table[:, width:] = np.frombuffer(separator, dtype=np.uint8)
+    real = np.ones(table.shape, dtype=bool)
+    rest = values
+    for column in range(width - 1, -1, -1):
+        higher = rest // 10
+        table[:, column] = rest - 10 * higher + ord("0")
+        if column:  # the cell to the left holds a digit when some remain
+            real[:, column - 1] = higher > 0
+        rest = higher
+    return table[real]
 
 
 def derive_T(prefix: Word) -> Word:

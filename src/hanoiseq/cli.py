@@ -9,8 +9,11 @@ Output is deterministic: the same argv always produces the same bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
+import math
 import sys
 from typing import NamedTuple
 
@@ -43,17 +46,28 @@ _SEQUENCE_FOR_VARIANT = {
 Result = tuple[int, list, dict | None]
 
 
-def _json_value(value):
-    if isinstance(value, Word):
-        return value.tokens()
-    if isinstance(value, IntSequence):
-        return value.to_json()
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+# json.dumps(value, sort_keys=True) without building an encoder per call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def _json_line(payload: dict) -> str:
+    """The payload as json.dumps(payload, sort_keys=True) writes it.  Words
+    and integer sequences come from their array renderers, each run of
+    other values from one encoder call; one join copies a long array once."""
+    parts = []
+    for arrays, items in itertools.groupby(
+            sorted(payload.items()), lambda item: isinstance(item[1], (Word, IntSequence))):
+        if arrays:
+            for key, value in items:
+                parts += (", ", _JSON.encode(key), ": ", value.json_text())
+        else:
+            parts += (", ", _JSON.encode(dict(items))[1:-1])
+    return "".join(["{", *parts[1:], "}"])
 
 
 def _emit(fmt, lines, payload) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, default=_json_value))
+        print(_json_line(payload))
     else:
         for line in lines:
             print(line if isinstance(line, str) else line.text())
@@ -101,9 +115,9 @@ def _sequence_solution(variant_name: str, disks: int):
 def cmd_hanoi_solve(args) -> Result:
     if args.olive and args.variant != "classical":
         raise ValueError("the alternating solver applies to the classical variant only")
-    if args.check_optimal and args.disks > hanoi._BFS_DISKS_MAX:
+    if args.check_optimal and args.disks > _BFS_DISKS_MAX:
         raise ValueError(f"input budget exceeded: --disks {args.disks} is more than "
-                         f"{hanoi._BFS_DISKS_MAX} with --check-optimal")
+                         f"{_BFS_DISKS_MAX} with --check-optimal")
     if args.olive:
         peg = args.target or classical_target(args.disks)
         word = olive_solve(args.disks, peg)
@@ -211,7 +225,7 @@ def cmd_kernel(args) -> Result:
     ]
     if report.insufficient_evidence:
         lines.append("warning: prefix too short for the requested depth")
-    return 0, lines, {"seq": args.seq, **report.to_json()}
+    return 0, lines, {"seq": args.seq, **dataclasses.asdict(report)}
 
 
 def cmd_construct(args) -> Result:
@@ -335,9 +349,8 @@ def cmd_eval(args) -> Result:
         lines.append(symbol)
         payload.update(index=args.index, symbol=symbol)
     if args.check_prefix is not None:
-        prefix = catalog_prefix(args.seq, args.check_prefix).tokens()
-        bad = next((n for n in range(args.check_prefix)
-                    if dfao.eval(n) != prefix[n]), None)
+        terms = dfao.eval_many(np.arange(args.check_prefix, dtype=np.int64))
+        bad = terms.first_mismatch(catalog_prefix(args.seq, args.check_prefix))
         ok = bad is None
         lines.append(f"automaton agrees with the prefix for n < {args.check_prefix}: "
                      f"{'yes' if ok else f'NO (first mismatch at {bad})'}")
@@ -347,29 +360,37 @@ def cmd_eval(args) -> Result:
     return status, lines, payload
 
 
-def _arg(*flags, **options):
-    return flags, options
+def _arg(*flags, bounds=None, **options):
+    return flags, options, bounds
 
 
 class Command(NamedTuple):
-    """One CLI command: its help line, its arguments in order, the name of
-    its handler in this module and the budget constant in ``hanoi`` that
-    caps each sized option."""
+    """One CLI command: its help line, its arguments in order and the name
+    of its handler in this module.  An argument is (flags, argparse
+    options, bounds); an int argument's bounds are the (least, most) value
+    a request may give, most None where the library bounds the work."""
 
     help: str
     arguments: tuple
     handler: str
-    budgets: dict = {}
 
+
+# the largest value of an option whose work grows with it
+_LENGTH_MAX = 1 << 24  # prefix symbols: 0.27-0.30 GB peak RSS to print 2^24 as JSON
+_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
+_BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
+_CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.65 s and 96 MB peak RSS at 2^20
+_VALIDATE_MAX = 1 << 20  # validating a construction holds ~250 MB at 2^20
+_RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
+_WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols
+# the largest modulus whose series products stay exact in int64 at _ORDER_MAX:
+# _ORDER_MAX * (q - 1)^2 < 2^63
+_MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
+_DMAX_MAX = 4  # one quadratic series product per degree, ~19 s at order 2^16
+_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~21 s and 390 MB at order 2^16
 
 _VARIANT = _arg("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
-_LENGTH = {"--length": "_LENGTH_MAX"}
-_ORDER = {"--order": "_ORDER_MAX"}
-
-# the least value of the options whose library refusal would name a parameter
-# instead of the flag; --radix, --width and --modulus keep the library's check
-_MINIMUMS = {"--max-period": 1, "--dmax": 0, "--coeff-degree": 0, "--order": 0,
-             "--check-prefix": 0, "--validate": 0}
+_LENGTH = _arg("--length", type=int, required=True, bounds=(0, _LENGTH_MAX))
 
 GROUPS = {"hanoi": "puzzle solving and verification",
           "christol": "algebraic relations of series over F_q"}
@@ -378,16 +399,16 @@ GROUPS = {"hanoi": "puzzle solving and verification",
 COMMANDS = {
     ("generate",): Command("print a prefix of a catalog sequence", (
         _arg("name", help="catalog name, e.g. classical-hanoi"),
-        _arg("--length", type=int, required=True),
-    ), "cmd_generate", _LENGTH),
+        _LENGTH,
+    ), "cmd_generate"),
     ("compare",): Command("compare two catalog sequences", (
         _arg("name_a"),
         _arg("name_b"),
-        _arg("--length", type=int, required=True),
-    ), "cmd_compare", _LENGTH),
+        _LENGTH,
+    ), "cmd_compare"),
     ("hanoi", "solve"): Command("solve by sequence truncation or the alternating rule", (
         _VARIANT,
-        _arg("--disks", type=int, required=True),
+        _arg("--disks", type=int, required=True, bounds=(1, None)),
         _arg("--target", choices=("II", "III")),
         _arg("--olive", action="store_true",
              help="use the alternating smallest-disk rule"),
@@ -395,72 +416,71 @@ COMMANDS = {
              help="cross-check the move count against breadth-first search"),
     ), "cmd_hanoi_solve"),
     ("hanoi", "verify"): Command("check the classical prefix solves N disks", (
-        _arg("--disks", type=int, required=True),
+        _arg("--disks", type=int, required=True, bounds=(1, None)),
     ), "cmd_hanoi_verify"),
     ("hanoi", "bfs"): Command("optimal move count by breadth-first search", (
         _VARIANT,
-        _arg("--disks", type=int, required=True),
+        _arg("--disks", type=int, required=True, bounds=(0, _BFS_DISKS_MAX)),
         _arg("--source", default="I", choices=("I", "II", "III")),
         _arg("--target", default="II", choices=("I", "II", "III")),
-    ), "cmd_hanoi_bfs", {"--disks": "_BFS_DISKS_MAX"}),
+    ), "cmd_hanoi_bfs"),
     ("toeplitz",): Command("expand a periodic pattern with holes", (
         _arg("--pattern", required=True,
              help="whitespace-separated tokens, '.' for the hole"),
-        _arg("--length", type=int, required=True),
+        _LENGTH,
         _arg("--expect", help="catalog name the expansion should equal"),
-    ), "cmd_toeplitz", _LENGTH),
+    ), "cmd_toeplitz"),
     ("census",): Command("distinct width-letter blocks of a sequence", (
         _arg("--seq", required=True),
-        _arg("--width", type=int, required=True),
+        _arg("--width", type=int, required=True, bounds=(1, _WIDTH_MAX)),
         _arg("--aligned", action="store_true"),
-        _arg("--length", type=int, default=4096),
-    ), "cmd_census", {"--width": "_WIDTH_MAX", **_LENGTH}),
+        _arg("--length", type=int, default=4096, bounds=(0, _LENGTH_MAX)),
+    ), "cmd_census"),
     ("squarefree",): Command("scan a prefix for squares ww", (
         _arg("--seq", required=True),
-        _arg("--length", type=int, required=True),
-        _arg("--max-period", type=int),
-    ), "cmd_squarefree", {"--length": "_CAPPED_SCAN_MAX"}),
+        _arg("--length", type=int, required=True, bounds=(0, hanoi._CAPPED_SCAN_MAX)),
+        _arg("--max-period", type=int, bounds=(1, None)),
+    ), "cmd_squarefree"),
     ("kernel",): Command("finite-prefix kernel class evidence", (
         _arg("--seq", required=True),
-        _arg("--radix", type=int, default=2),
-        _arg("--depth", type=int, default=8),
-        _arg("--length", type=int, default=2 ** 16),
-    ), "cmd_kernel", {"--radix": "_RADIX_MAX", **_LENGTH}),
+        _arg("--radix", type=int, default=2, bounds=(2, _RADIX_MAX)),
+        _arg("--depth", type=int, default=8, bounds=(0, None)),
+        _arg("--length", type=int, default=2 ** 16, bounds=(1, _LENGTH_MAX)),
+    ), "cmd_kernel"),
     ("construct-nonuniform",): Command(
         "non-uniform presentation of a uniform catalog morphism", (
             _arg("--seq", required=True),
-            _arg("--validate", type=int, metavar="L",
+            _arg("--validate", type=int, metavar="L", bounds=(0, _VALIDATE_MAX),
                  help="validate the construction on an L-symbol prefix"),
-        ), "cmd_construct", {"--validate": "_VALIDATE_MAX"}),
+        ), "cmd_construct"),
     ("christol", "verify"): Command("check the period-doubling series relation", (
-        _arg("--order", type=int, default=4096),
-    ), "cmd_christol_verify", _ORDER),
+        _arg("--order", type=int, default=4096, bounds=(0, _ORDER_MAX)),
+    ), "cmd_christol_verify"),
     ("christol", "search"): Command("search for a low-degree relation", (
         _arg("--seq", required=True),
-        _arg("--modulus", type=int, default=2),
-        _arg("--dmax", type=int, default=2),
-        _arg("--coeff-degree", type=int, default=2),
-        _arg("--order", type=int, default=512),
+        _arg("--modulus", type=int, default=2, bounds=(2, _MODULUS_MAX)),
+        _arg("--dmax", type=int, default=2, bounds=(0, _DMAX_MAX)),
+        _arg("--coeff-degree", type=int, default=2, bounds=(0, _COEFF_DEGREE_MAX)),
+        _arg("--order", type=int, default=512, bounds=(0, _ORDER_MAX)),
         _arg("--map", help="symbol values, e.g. a=0,b=1"),
-    ), "cmd_christol_search", {"--modulus": "_MODULUS_MAX", "--dmax": "_DMAX_MAX",
-                               "--coeff-degree": "_COEFF_DEGREE_MAX", **_ORDER}),
+    ), "cmd_christol_search"),
     ("derive",): Command("classical projections T, U, V, Z", (
         _arg("--what", choices=("T", "U", "V", "Z"), required=True),
-        _arg("--length", type=int, required=True),
+        _LENGTH,
         _arg("--check", action="store_true",
              help="verify the defining cross-identity"),
-    ), "cmd_derive", _LENGTH),
+    ), "cmd_derive"),
     ("eval",): Command("evaluate one term through the automaton", (
         _arg("--seq", required=True),
-        _arg("--index", type=int),
-        _arg("--check-prefix", type=int, metavar="L",
+        _arg("--index", type=int, bounds=(0, None)),
+        _arg("--check-prefix", type=int, metavar="L", bounds=(0, _CHECK_PREFIX_MAX),
              help="compare automaton output with the prefix for n < L"),
-    ), "cmd_eval", {"--check-prefix": "_CHECK_PREFIX_MAX"}),
+    ), "cmd_eval"),
 }
 
 
 def _add_arguments(parser, command: Command):
-    for flags, options in command.arguments:
+    for flags, options, _bounds in command.arguments:
         parser.add_argument(*flags, **options)
     # --format goes last so that every usage line ends with it
     parser.add_argument("--format", choices=("text", "json"), default="text",
@@ -488,17 +508,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_budgets(path, args) -> None:
-    for flags, _options in COMMANDS[path].arguments:
-        least = _MINIMUMS.get(flags[0])
-        if least is not None:
-            flag = flags[0]
-            value = getattr(args, flag[2:].replace("-", "_"))
-            if value is not None and value < least:
-                raise ValueError(f"{flag} must be >= {least}, got {value}")
-    for flag, name in COMMANDS[path].budgets.items():
-        value, limit = getattr(args, flag[2:].replace("-", "_")), getattr(hanoi, name)
-        if value is not None and value > limit:
-            raise ValueError(f"input budget exceeded: {flag} {value} is more than {limit}")
+    for flags, _options, bounds in COMMANDS[path].arguments:
+        value = bounds and getattr(args, flags[0][2:].replace("-", "_"))
+        if value is None:
+            continue
+        least, most = bounds
+        if value < least:
+            raise ValueError(f"{flags[0]} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"input budget exceeded: {flags[0]} {value} is more than {most}")
 
 
 def run(argv) -> int:

@@ -19,7 +19,6 @@ variant.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -36,24 +35,11 @@ MOVE_PEGS = {"a": (0, 1), "b": (1, 2), "c": (2, 0),
 _PEG_MOVE = {pegs: move for move, pegs in MOVE_PEGS.items()}
 PEG_NAMES = ("I", "II", "III")
 
-# budgets: squarefree_check scans (see there), solution moves (solution_length)
-# and the sizes a CLI request may ask for (the command table in cli.py)
+# budgets: squarefree_check scans (see there) and solution moves (solution_length)
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
 _CAPPED_PERIOD = 64
 _MOVES_MAX = 1 << 26
-_LENGTH_MAX = 1 << 24  # prefix symbols: about 0.3 GB to print 2^24 as JSON
-_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
-_BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
-_CHECK_PREFIX_MAX = 1 << 20  # automaton runs one index at a time, ~4 s at 2^20
-_VALIDATE_MAX = 1 << 20  # validating a construction holds ~250 MB at 2^20
-_RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
-_WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols
-# the largest modulus whose series products stay exact in int64 at _ORDER_MAX:
-# _ORDER_MAX * (q - 1)^2 < 2^63
-_MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
-_DMAX_MAX = 4  # one quadratic series product per degree, ~19 s at order 2^16
-_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~21 s and 390 MB at order 2^16
 
 
 class IllegalMoveError(ValueError):

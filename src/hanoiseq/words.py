@@ -23,6 +23,7 @@ length needs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -70,6 +71,25 @@ def _concat_rows(table: np.ndarray, mask: Optional[np.ndarray],
     return rows if mask is None else rows.compress(mask.take(letters, axis=0).ravel())
 
 
+def _text_line(cells: np.ndarray) -> str:
+    """UTF-8 rows that each end in one separating byte, as one line."""
+    return str(cells[:-1], "utf-8")
+
+
+_BRACKETS = np.frombuffer(b"[]", dtype=np.uint8)
+
+
+def _json_array(cells: np.ndarray) -> str:
+    """JSON values that each end in ", ", as one JSON array.  The cells are
+    freed before the decode, so the bytes are held twice at most."""
+    cells = np.concatenate((_BRACKETS[:1], cells[:-2], _BRACKETS[1:]))
+    return str(cells, "ascii")
+
+
+def _byte_rows(texts) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    return _padded([np.frombuffer(t.encode(), dtype=np.uint8) for t in texts], np.uint8)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered collection of distinct symbol tokens.
@@ -82,7 +102,10 @@ class Alphabet:
     _index: dict = field(init=False, repr=False, compare=False)
     dtype: np.dtype = field(init=False, repr=False, compare=False)
     _objects: np.ndarray = field(init=False, repr=False, compare=False)
+    # each symbol as a padded byte row, followed by the separator: " " for
+    # text, ", " for a JSON array (json.dumps escapes the symbol)
     _text: tuple = field(init=False, repr=False, compare=False)
+    _json: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         symbols = _tokens(self.symbols)
@@ -99,9 +122,9 @@ class Alphabet:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "dtype", np.min_scalar_type(len(symbols) - 1))
         object.__setattr__(self, "_objects", np.array(symbols, dtype=object))
-        # each symbol's UTF-8 bytes plus the separating space, for text()
-        encoded = [np.frombuffer(s.encode() + b" ", dtype=np.uint8) for s in symbols]
-        object.__setattr__(self, "_text", _padded(encoded, np.uint8))
+        object.__setattr__(self, "_text", _byte_rows(s + " " for s in symbols))
+        object.__setattr__(self, "_json",
+                           _byte_rows(json.dumps(s) + ", " for s in symbols))
 
     def index(self, symbol: str) -> int:
         try:
@@ -167,8 +190,11 @@ class Word:
         return tuple(self.alphabet._objects.take(self.indices).tolist())
 
     def text(self) -> str:
-        table, mask = self.alphabet._text
-        return _concat_rows(table, mask, self.indices)[:-1].tobytes().decode()
+        return _text_line(_concat_rows(*self.alphabet._text, self.indices))
+
+    def json_text(self) -> str:
+        """The tokens as a JSON array, as ``json.dumps`` writes it."""
+        return _json_array(_concat_rows(*self.alphabet._json, self.indices))
 
     def first_mismatch(self, other: "Word") -> Optional[int]:
         """First index below both lengths where the two words spell

@@ -1,10 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
 from hanoiseq import automaton
-from hanoiseq.automaton import (NonUniformError,
+from hanoiseq.automaton import (Dfao, NonUniformError,
                                 dfao_from_uniform_morphism, kernel_explore)
 from hanoiseq.catalog import BINARY_ALPHABET, morphic_entry
-from hanoiseq.words import Word
+from hanoiseq.words import Alphabet, Word
 
 UNIFORM_NAMES = ("classical-hanoi", "lazy-hanoi", "period-doubling",
                  "thue-morse", "z-uniform")
@@ -48,6 +51,33 @@ class TestDfaoEval:
         dfao = dfao_from_uniform_morphism(spec)
         prefix = spec.prefix(2 ** 10)
         assert all(dfao.eval(n) == prefix[n] for n in range(2 ** 10))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", UNIFORM_NAMES)
+    def test_eval_many_equals_eval(self, name, seed):
+        dfao = dfao_from_uniform_morphism(morphic_entry(name))
+        k = dfao.radix
+        rng = random.Random(seed)
+        # 0, every k^j - 1 up to 10^18 (all digits k - 1) and random n
+        ns = [0] + [k ** j - 1 for j in range(1, 64) if k ** j - 1 <= 10 ** 18]
+        ns += [10 ** 18] + [rng.randrange(10 ** rng.randint(1, 18)) for _ in range(300)]
+        assert dfao.eval_many(np.array(ns)).tokens() == tuple(dfao.eval(n) for n in ns)
+
+    def test_eval_many_reads_no_leading_zero(self):
+        # the start state leaves on 0, so a leading 0 would change the term
+        states = Alphabet(("p", "q", "r"))
+        dfao = Dfao(states, 2, "p", ((1, 2), (2, 0), (0, 1)), ("x", "y", "z"))
+        ns = list(range(64)) + [2 ** 40 + 5, 3 ** 30]
+        assert dfao.eval_many(ns).tokens() == tuple(dfao.eval(n) for n in ns)
+
+    def test_eval_many_of_nothing_is_empty(self):
+        dfao = dfao_from_uniform_morphism(morphic_entry("thue-morse"))
+        assert len(dfao.eval_many(np.array([], dtype=np.int64))) == 0
+
+    def test_eval_many_negative_index(self):
+        dfao = dfao_from_uniform_morphism(morphic_entry("thue-morse"))
+        with pytest.raises(ValueError):
+            dfao.eval_many(np.array([3, -1]))
 
     @pytest.mark.parametrize("name", UNIFORM_NAMES)
     def test_leading_zero_digits_are_harmless(self, name):

@@ -131,7 +131,7 @@ class TestIntSequence:
     def test_text_and_json(self):
         s = IntSequence((1, 2, 3))
         assert s.text() == "1 2 3"
-        assert s.to_json() == [1, 2, 3]
+        assert s.json_text() == "[1, 2, 3]"
 
     def test_values_are_one_read_only_int64_array(self):
         values = derive_U(catalog_prefix("classical-hanoi", 64)).values

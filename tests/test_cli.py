@@ -126,9 +126,7 @@ class TestHanoi:
     def test_solve_needs_a_disk(self, variant, fmt, disks, capsys):
         assert run(["hanoi", "solve", "--variant", variant, "--disks", disks,
                     "--format", fmt]) == 2
-        out, err = out_of(capsys)
-        assert out == ""
-        assert err == "error: disk count must be >= 1\n"
+        assert out_of(capsys) == ("", f"error: --disks must be >= 1, got {disks}\n")
 
     @pytest.mark.parametrize("argv", ["solve --disks 11", "solve --disks 11 --olive",
                                       "verify --disks 11", "solve --variant lazy --disks 7"])
@@ -198,7 +196,7 @@ class TestHanoi:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_check_optimal_search_budget(self, fmt, monkeypatch, capsys):
-        monkeypatch.setattr(hanoi, "_BFS_DISKS_MAX", 3)
+        monkeypatch.setattr(cli, "_BFS_DISKS_MAX", 3)
         monkeypatch.setattr(cli, "catalog_prefix", _refuse)
         monkeypatch.setattr(cli, "bfs_optimal", _refuse)
         assert run(["hanoi", "solve", "--disks", "4", "--check-optimal",
@@ -206,7 +204,7 @@ class TestHanoi:
         assert out_of(capsys) == ("", "error: input budget exceeded: --disks 4 is more "
                                       "than 3 with --check-optimal\n")
         monkeypatch.undo()
-        monkeypatch.setattr(hanoi, "_BFS_DISKS_MAX", 3)
+        monkeypatch.setattr(cli, "_BFS_DISKS_MAX", 3)
         assert run(["hanoi", "solve", "--disks", "3", "--check-optimal"]) == 0
 
     def test_moves_budget_admits_2_to_the_n_minus_1(self, monkeypatch, capsys):
@@ -330,11 +328,6 @@ class TestOracles:
         assert run(argv.split()) == 2
         assert out_of(capsys) == ("", f"error: {flag} must be >= 0, got {value}\n")
 
-    def test_every_minimum_belongs_to_an_option(self):
-        options = {flags[0] for command in cli.COMMANDS.values()
-                   for flags, _ in command.arguments}
-        assert set(cli._MINIMUMS) <= options
-
     def test_christol_search_reduces_large_map_values(self, capsys):
         # 10^30 = 1 mod 3: the same series as a=1,b=1
         argv = ["christol", "search", "--seq", "fibonacci", "--modulus", "3", "--dmax", "1"]
@@ -351,7 +344,7 @@ class TestOracles:
     @pytest.mark.parametrize("length", ["-1", "-15", "-16"])
     def test_derive_rejects_negative_length(self, what, length, capsys):
         assert run(["derive", "--what", what, "--length", length]) == 2
-        assert out_of(capsys) == ("", "error: length must be >= 0\n")
+        assert out_of(capsys) == ("", f"error: --length must be >= 0, got {length}\n")
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 100, 1023, 1024, 1025])
     def test_derive_Z_has_the_requested_length(self, length, capsys):
@@ -442,6 +435,37 @@ class TestRendering:
         out, _ = out_of(capsys)
         assert json.loads(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "classical-hanoi", "--length", "1000"],
+        ["hanoi", "solve", "--disks", "4"],
+        ["hanoi", "bfs", "--disks", "4"],
+        ["toeplitz", "--pattern", "0 . 1 .", "--length", "64"],
+        ["derive", "--what", "V", "--length", "64"],
+    ], ids=" ".join)
+    def test_json_builds_no_tokens(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(Word, "tokens", _refuse)
+        assert run(argv + ["--format", "json"]) == 0
+        out, _ = out_of(capsys)
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND + (
+        ["derive", "--what", "Z", "--length", "300"],
+        ["derive", "--what", "T", "--length", "30"],
+        ["generate", "z-nonuniform", "--length", "30"],
+        ["compare", "classical-hanoi", "lazy-hanoi", "--length", "30"],
+    ), ids=" ".join)
+    def test_json_is_one_dumps_of_the_payload(self, argv, capsys):
+        # the renderer against json.dumps over token tuples and value lists
+        def as_list(value):
+            return value.tokens() if isinstance(value, Word) else value.values.tolist()
+
+        args = _build_parser().parse_args(argv + ["--format", "json"])
+        path = tuple(argv[:2] if argv[0] in cli.GROUPS else argv[:1])
+        status, _, payload = getattr(cli, cli.COMMANDS[path].handler)(args)
+        expected = json.dumps(payload, sort_keys=True, default=as_list) + "\n"
+        assert run(argv + ["--format", "json"]) == status
+        assert out_of(capsys) == (expected, "")
+
 
 def _outcome(argv, capsys):
     try:
@@ -514,29 +538,33 @@ class TestOneParser:
         assert built.count("hanoiseq") == 1
 
 
-# (argv without the value, budget constant in hanoi)
-BUDGETED = [
-    ("generate thue-morse --length", "_LENGTH_MAX"),
-    ("compare thue-morse period-doubling --length", "_LENGTH_MAX"),
-    ("toeplitz --pattern '0 . 1 .' --length", "_LENGTH_MAX"),
-    ("census --seq thue-morse --width 2 --length", "_LENGTH_MAX"),
-    ("squarefree --seq thue-morse --length", "_CAPPED_SCAN_MAX"),
-    ("kernel --seq thue-morse --length", "_LENGTH_MAX"),
-    ("christol verify --order", "_ORDER_MAX"),
-    ("christol search --seq period-doubling --order", "_ORDER_MAX"),
-    ("hanoi bfs --disks", "_BFS_DISKS_MAX"),
-    ("derive --what U --length", "_LENGTH_MAX"),
-    ("eval --seq thue-morse --check-prefix", "_CHECK_PREFIX_MAX"),
-    ("construct-nonuniform --seq thue-morse --validate", "_VALIDATE_MAX"),
-    ("kernel --seq thue-morse --radix", "_RADIX_MAX"),
-    ("census --seq thue-morse --width", "_WIDTH_MAX"),
-    ("christol search --seq period-doubling --modulus", "_MODULUS_MAX"),
-    ("christol search --seq period-doubling --dmax", "_DMAX_MAX"),
-    ("christol search --seq period-doubling --coeff-degree", "_COEFF_DEGREE_MAX"),
+# every int option, as a request without the option's value: the command
+# path and the flag are its first and last words
+SIZED = [
+    "generate thue-morse --length",
+    "compare thue-morse period-doubling --length",
+    "hanoi solve --disks",
+    "hanoi verify --disks",
+    "hanoi bfs --disks",
+    "toeplitz --pattern '0 . 1 .' --length",
+    "census --seq thue-morse --length 64 --width",
+    "census --seq thue-morse --width 2 --length",
+    "squarefree --seq thue-morse --length",
+    "squarefree --seq thue-morse --length 64 --max-period",
+    "kernel --seq thue-morse --radix",
+    "kernel --seq thue-morse --depth",
+    "kernel --seq thue-morse --length",
+    "construct-nonuniform --seq thue-morse --validate",
+    "christol verify --order",
+    "christol search --seq period-doubling --modulus",
+    "christol search --seq period-doubling --dmax",
+    "christol search --seq period-doubling --coeff-degree",
+    "christol search --seq period-doubling --order",
+    "derive --what U --length",
+    "eval --seq thue-morse --index",
+    "eval --seq thue-morse --check-prefix",
 ]
-# a small budget the command accepts as a value: a prime modulus
-SMALL_BUDGET = {"_BFS_DISKS_MAX": 3, "_MODULUS_MAX": 61}
-# int options without a budget in the command table, and what bounds them
+# int options with no most in the command table, and what bounds them
 UNBUDGETED = {
     (("hanoi", "solve"), "--disks"): "solution_length refuses past 2^26 moves",
     (("hanoi", "verify"), "--disks"): "solution_length refuses past 2^26 moves",
@@ -544,47 +572,86 @@ UNBUDGETED = {
     (("eval",), "--index"): "one automaton step per digit, O(log n)",
     (("kernel",), "--depth"): "kernel_explore's work budget bounds the comparisons",
 }
+# a small most the option accepts as a value: a prime modulus
+SMALL_MOST = {"--disks": 3, "--modulus": 61}
+
+
+def _path_and_flag(argv):
+    words = shlex.split(argv)
+    return tuple(words[:2] if words[0] in cli.GROUPS else words[:1]), words[-1]
+
+
+def _bounds(argv):
+    path, flag = _path_and_flag(argv)
+    return next(bounds for flags, _, bounds in cli.COMMANDS[path].arguments
+                if flags[0] == flag)
+
+
+def _set_most(monkeypatch, argv, most):
+    """Give the option of the request a smaller most in the command table."""
+    path, flag = _path_and_flag(argv)
+    command = cli.COMMANDS[path]
+    arguments = tuple((flags, options, (bounds[0], most) if flags[0] == flag else bounds)
+                      for flags, options, bounds in command.arguments)
+    monkeypatch.setitem(cli.COMMANDS, path, command._replace(arguments=arguments))
+
+
+BUDGETED = [argv for argv in SIZED if _bounds(argv)[1] is not None]
 
 
 class TestInputBudgets:
     @pytest.mark.parametrize("small", [True, False])
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("argv,name", BUDGETED, ids=[b[0] for b in BUDGETED])
-    def test_refuses_before_work(self, argv, name, fmt, small, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", BUDGETED)
+    def test_refuses_before_work(self, argv, fmt, small, monkeypatch, capsys):
+        path, flag = _path_and_flag(argv)
         if small:
-            monkeypatch.setattr(hanoi, name, SMALL_BUDGET.get(name, 64))
-        limit = getattr(hanoi, name)
-        for work in ("catalog_prefix", "toeplitz_expand", "bfs_optimal"):
-            monkeypatch.setattr(cli, work, _refuse)
+            _set_most(monkeypatch, argv, SMALL_MOST.get(flag, 64))
+        limit = _bounds(argv)[1]
+        monkeypatch.setattr(cli, cli.COMMANDS[path].handler, _refuse)
         assert run(shlex.split(argv) + [str(limit + 1), "--format", fmt]) == 2
-        assert out_of(capsys) == ("", f"error: input budget exceeded: {argv.split()[-1]} "
+        assert out_of(capsys) == ("", f"error: input budget exceeded: {flag} "
                                       f"{limit + 1} is more than {limit}\n")
 
-    def test_every_int_option_is_budgeted_or_exempt(self):
-        unbounded = {(path, flags[0])
-                     for path, command in cli.COMMANDS.items()
-                     for flags, options in command.arguments
-                     if options.get("type") is int and flags[0] not in command.budgets}
-        assert unbounded == set(UNBUDGETED)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", SIZED)
+    def test_refuses_below_the_least_before_work(self, argv, fmt, monkeypatch, capsys):
+        path, flag = _path_and_flag(argv)
+        least = _bounds(argv)[0]
+        monkeypatch.setattr(cli, cli.COMMANDS[path].handler, _refuse)
+        assert run(shlex.split(argv) + [str(least - 1), "--format", fmt]) == 2
+        assert out_of(capsys) == ("", f"error: {flag} must be >= {least}, "
+                                      f"got {least - 1}\n")
 
-    def test_every_budget_is_tested(self):
-        tested = set()
-        for argv, name in BUDGETED:
-            words = argv.split()
-            path = tuple(words[:2] if words[0] in cli.GROUPS else words[:1])
-            tested.add((path, words[-1], name))
-        declared = {(path, *item) for path, command in cli.COMMANDS.items()
-                    for item in command.budgets.items()}
-        assert declared == tested
+    # the relation search needs an order above its unknowns, which depend on
+    # --dmax and --coeff-degree; the library refuses a shorter one itself
+    @pytest.mark.parametrize("argv", [argv for argv in SIZED if argv !=
+                                      "christol search --seq period-doubling --order"])
+    def test_admits_the_least(self, argv, capsys):
+        # thue-morse holds a square within 64 symbols
+        assert run(shlex.split(argv) + [str(_bounds(argv)[0])]) in (0, 1)
+        assert out_of(capsys)[1] == ""
+
+    def test_every_int_option_has_bounds(self):
+        options = {(path, flags[0]): (options.get("type") is int, bounds is not None)
+                   for path, command in cli.COMMANDS.items()
+                   for flags, options, bounds in command.arguments}
+        sized = {key for key, (is_int, _) in options.items() if is_int}
+        assert sized == {_path_and_flag(argv) for argv in SIZED}
+        assert all(is_int == bounded for is_int, bounded in options.values())
+
+    def test_every_option_without_a_most_is_exempt(self):
+        assert {_path_and_flag(argv) for argv in SIZED
+                if _bounds(argv)[1] is None} == set(UNBUDGETED)
 
     def test_modulus_cap_keeps_products_exact(self):
-        assert hanoi._ORDER_MAX * (hanoi._MODULUS_MAX - 1) ** 2 < 1 << 63
-        assert hanoi._ORDER_MAX * hanoi._MODULUS_MAX ** 2 >= 1 << 63
+        assert cli._ORDER_MAX * (cli._MODULUS_MAX - 1) ** 2 < 1 << 63
+        assert cli._ORDER_MAX * cli._MODULUS_MAX ** 2 >= 1 << 63
 
-    @pytest.mark.parametrize("argv,name", BUDGETED, ids=[b[0] for b in BUDGETED])
-    def test_admits_the_limit(self, argv, name, monkeypatch, capsys):
-        monkeypatch.setattr(hanoi, name, SMALL_BUDGET.get(name, 64))
-        limit = getattr(hanoi, name)
+    @pytest.mark.parametrize("argv", BUDGETED)
+    def test_admits_the_limit(self, argv, monkeypatch, capsys):
+        _set_most(monkeypatch, argv, SMALL_MOST.get(_path_and_flag(argv)[1], 64))
+        limit = _bounds(argv)[1]
         # thue-morse holds a square within 64 symbols
         assert run(shlex.split(argv) + [str(limit)]) in (0, 1)
         assert out_of(capsys)[1] == ""

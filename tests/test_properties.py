@@ -1,6 +1,8 @@
 """Derandomized property tests: random morphisms, codings, patterns and
 words against plain-Python reference implementations kept here."""
 
+import collections
+import json
 import types
 
 import numpy as np
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hanoiseq import hanoi
+from hanoiseq import cli, hanoi
 from hanoiseq.algebra import Relation, poly_gcd, truncated_product
-from hanoiseq.automaton import dfao_from_uniform_morphism
+from hanoiseq.automaton import dfao_from_uniform_morphism, kernel_explore
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
-from hanoiseq.classicseq import derive_U, derive_Z
+from hanoiseq.classicseq import IntSequence, derive_U, derive_Z
 from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
                                  construct_nonuniform, validation_failures)
@@ -89,6 +91,7 @@ def test_automaton_evaluates_the_prefix(data):
     dfao = dfao_from_uniform_morphism(spec)
     prefix = spec.prefix(200).tokens()
     assert [dfao.eval(i) for i in range(200)] == list(prefix)
+    assert dfao.eval_many(np.arange(200)).tokens() == prefix
 
 
 @PROPERTY
@@ -438,7 +441,7 @@ def reduced_arrays(draw, q, max_size=40):
 
 
 @PROPERTY
-@given(st.data(), st.integers(2, hanoi._MODULUS_MAX), st.integers(0, 50))
+@given(st.data(), st.integers(2, cli._MODULUS_MAX), st.integers(0, 50))
 def test_truncated_product_is_exact_up_to_the_modulus_cap(data, q, order):
     a, b = data.draw(reduced_arrays(q)), data.draw(reduced_arrays(q))
     got = truncated_product(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), order, q)
@@ -457,3 +460,74 @@ def test_truncated_product_refuses_past_int64(q, extra):
     else:
         got = truncated_product(a, a, terms, q)
         assert got.tolist() == _exact_product([q - 1] * terms, [q - 1] * terms, terms, q)
+
+
+# tokens that JSON escapes or writes in several bytes: a quote, a backslash,
+# a control character, non-ASCII letters and one outside the BMP
+TOKEN_CHARS = st.sampled_from(['a', 'Z', '0', ' ', 'é', '"', '\\', '\x01', '☃',
+                               '\U0001F600'])
+
+
+@PROPERTY
+@given(st.lists(st.text(TOKEN_CHARS, min_size=1, max_size=3), min_size=1, max_size=12,
+                unique=True), st.data())
+def test_word_renders_like_join_and_json_dumps(symbols, data):
+    alphabet = Alphabet(tuple(symbols))
+    indices = data.draw(st.lists(st.integers(0, len(symbols) - 1), max_size=60))
+    word = Word(alphabet, indices)
+    tokens = [symbols[i] for i in indices]
+    assert word.text() == " ".join(tokens)
+    assert word.json_text() == json.dumps(tokens)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([0, 9, 10, 99, 100, 2 ** 63 - 1])
+                | st.integers(0, 2 ** 63 - 1), max_size=60))
+def test_int_sequence_renders_like_join_and_json_dumps(values):
+    sequence = IntSequence(np.array(values, dtype=np.int64))
+    assert sequence.text() == " ".join(map(str, values))
+    assert sequence.json_text() == json.dumps(values)
+
+
+def reference_kernel(indices, radix, depth):
+    """Representatives and the least merge overlap of kernel_explore, each
+    subsequence compared with each class over the whole overlap."""
+    reps, seqs, overlaps = [], [], []
+    queue = collections.deque([(0, 0)])
+    while queue:
+        e, r = queue.popleft()
+        sub = indices[r::radix ** e]
+        if not sub:
+            continue
+        for seq in seqs:
+            m = min(len(sub), len(seq))
+            if sub[:m] == seq[:m]:
+                overlaps.append(m)
+                break
+        else:
+            reps.append((e, r))
+            seqs.append(sub)
+            if e < depth:
+                queue.extend((e + 1, r + j * radix ** e) for j in range(radix))
+    return tuple(reps), min(overlaps) if overlaps else len(indices)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 600), st.integers(2, 4), st.integers(0, 6))
+def test_kernel_explore_matches_whole_overlap_comparison(data, length, radix, depth):
+    images = data.draw(morphisms(uniform=True, max_letters=4))
+    coding_table = data.draw(st.none() | st.lists(
+        st.integers(0, 1), min_size=len(images), max_size=len(images)))
+    word = build_spec(images, coding_table).prefix(length)
+    report = kernel_explore(word, radix, depth)
+    assert (report.representatives, report.consistent_up_to) == \
+        reference_kernel(word.indices.tolist(), radix, depth)
+    assert report.class_count == len(report.representatives)
+
+
+@pytest.mark.parametrize("length,depth", [(2 ** 12, 6), (2 ** 14, 4)])
+def test_kernel_explore_matches_whole_overlap_comparison_on_fibonacci(length, depth):
+    word = catalog_prefix("fibonacci", length)
+    report = kernel_explore(word, 2, depth)
+    assert (report.representatives, report.consistent_up_to) == \
+        reference_kernel(word.indices.tolist(), 2, depth)
