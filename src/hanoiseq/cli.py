@@ -509,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_budgets(path, args) -> None:
     for flags, _options, bounds in COMMANDS[path].arguments:
-        value = bounds and getattr(args, flags[0][2:].replace("-", "_"))
+        value = getattr(args, flags[0][2:].replace("-", "_")) if bounds else None
         if value is None:
             continue
         least, most = bounds
