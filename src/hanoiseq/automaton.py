@@ -1,13 +1,13 @@
 """Finite automata with output for uniform substitution fixed points.
 
-A k-uniform morphism with images ``m(s) = m(s)[0] ... m(s)[k-1]`` turns
-into an automaton whose states are the alphabet symbols and whose
-transition on digit d moves to the d-th letter of the state's image.
-Reading the base-k digits of n most significant first, starting from
-the start symbol, lands on the n-th letter of the fixed point; the
-output map (a coding, identity when absent) then yields term n of the
-sequence in O(log n) steps.  No leading zero digits are read, so the
-evaluation is well defined whether or not the start state loops on 0.
+A k-uniform morphism with images ``m(s) = m(s)[0] ... m(s)[k-1]`` is
+an automaton whose states are the alphabet symbols and whose transition
+on digit d moves to the d-th letter of the state's image: ``Dfao`` reads
+the spec's own (|A|, k) image table.  Reading the base-k digits of n
+most significant first, from the start symbol, lands on the n-th letter
+of the fixed point; the spec's coding, if any, then yields term n in
+O(log n) steps.  The start symbol begins its own image (prolongability),
+so the start state loops on 0 and leading zero digits change nothing.
 
 ``kernel_explore`` gathers finite-prefix evidence for the size of the
 set of subsequences n -> a(k^e n + r): it closes the exponent/residue
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .words import Alphabet, MorphicSpec, Word
+from .words import MorphicSpec, Word
 
 
 # kernel_explore's work budget: a comparison costs its overlap in symbols
@@ -43,73 +44,69 @@ class NonUniformError(ValueError):
 
 @dataclass(frozen=True)
 class Dfao:
-    """Deterministic finite automaton with per-state output."""
+    """The automaton of a k-uniform spec, read from the spec itself."""
 
-    states: Alphabet
-    radix: int
-    initial: str
-    transitions: tuple[tuple[int, ...], ...]
-    output: tuple[str, ...]
+    spec: MorphicSpec
 
     def __post_init__(self):
-        if self.radix < 2:
-            raise ValueError("radix must be >= 2")
-        n = len(self.states.symbols)
-        if len(self.transitions) != n or len(self.output) != n:
-            raise ValueError("transition and output tables must cover every state")
-        for row in self.transitions:
-            if len(row) != self.radix or not all(0 <= t < n for t in row):
-                raise ValueError("transition table must be total and in range")
+        if self.radix is None or self.radix < 2:
+            raise NonUniformError("spec's morphism must be k-uniform with k >= 2")
+
+    @property
+    def radix(self) -> int:
+        return self.spec.morphism.uniform_width
+
+    @cached_property
+    def _walk(self) -> tuple[int, int, list[list[int]], tuple[str, ...]]:
+        # plain Python rows: a list lookup costs a fraction of a numpy one
+        morphism, coding = self.spec.morphism, self.spec.coding
+        output = (morphism.domain.symbols if coding is None
+                  else tuple(img[0] for img in coding.images))
+        return (self.radix, morphism.domain.index(self.spec.start),
+                morphism._table.tolist(), output)
 
     def eval(self, n: int) -> str:
         """Output symbol for index n (msd-first digit walk)."""
         if n < 0:
             raise ValueError("index must be >= 0")
+        radix, state, rows, output = self._walk
         digits: list[int] = []
         while n:
-            n, d = divmod(n, self.radix)
+            n, d = divmod(n, radix)
             digits.append(d)
-        state = self.states.index(self.initial)
-        table = self.transitions
         for d in reversed(digits):
-            state = table[state][d]
-        return self.output[state]
+            state = rows[state][d]
+        return output[state]
 
     def eval_many(self, ns) -> Word:
-        """``eval`` at every index of an int64 array, as one word: one table
-        lookup per digit position, most significant first, and no step
-        above an index's leading digit."""
+        """``eval`` at every index of an int64 array, as one word over the
+        alphabet of the spec's prefixes: one table lookup per digit
+        position, most significant first."""
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size and ns.min() < 0:
             raise ValueError("index must be >= 0")
-        k = self.radix
-        steps = np.array(self.transitions, dtype=np.intp).ravel()
-        states = np.full(ns.shape, self.states.index(self.initial), dtype=np.intp)
+        morphism, k = self.spec.morphism, self.radix
+        alphabet = morphism.domain
+        # the transition table digit-major: cell d * |A| + s holds delta(s, d)
+        columns = morphism._table.T.ravel()
+        states = np.full(ns.shape, alphabet.index(self.spec.start), dtype=alphabet.dtype)
         power, top = 1, int(ns.max()) if ns.size else 0
         while power * k <= top:
             power *= k
-        higher = np.zeros_like(ns)  # ns // (power * k)
-        while power:
-            quotient = ns // power
-            digits = quotient - higher * k
-            states = np.where(quotient > 0, steps.take(states * k + digits), states)
-            higher, power = quotient, power // k
-        outputs = Alphabet(tuple(dict.fromkeys(self.output)))
-        return Word._of(outputs, np.array([outputs.index(s) for s in self.output]).take(states))
+        while power:  # a shorter index reads leading zeros: no move
+            cells = ns // power
+            cells %= k
+            cells *= len(alphabet)
+            cells += states
+            states = columns.take(cells)
+            power //= k
+        word = Word._of(alphabet, states)
+        return self.spec.coding.apply(word) if self.spec.coding else word
 
 
 def dfao_from_uniform_morphism(spec: MorphicSpec) -> Dfao:
     """Automaton evaluating the spec's sequence from base-k digits."""
-    width = spec.morphism.uniform_width
-    if width is None or width < 2:
-        raise NonUniformError("spec's morphism must be k-uniform with k >= 2")
-    alphabet = spec.morphism.domain
-    transitions = tuple(tuple(img.indices.tolist()) for img in spec.morphism.images)
-    if spec.coding is not None:
-        output = tuple(img[0] for img in spec.coding.images)
-    else:
-        output = alphabet.symbols
-    return Dfao(alphabet, width, spec.start, transitions, output)
+    return Dfao(spec)
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,9 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
     rep_seqs: list[np.ndarray] = []
     overlaps: list[int] = []
     # a depth-d residue r can be as large as k^d - 1; a shorter prefix
-    # cannot even place one term of every depth-level subsequence
-    insufficient = len(seq) < radix ** depth
+    # cannot even place one term of every depth-level subsequence (and
+    # k >= 2, so no depth past the prefix's bit length changes the answer)
+    insufficient = len(seq) < radix ** min(depth, len(seq).bit_length())
     queue: deque[tuple[int, int]] = deque([(0, 0)])
     work = comparisons = 0
     while queue:

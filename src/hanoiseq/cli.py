@@ -379,7 +379,7 @@ class Command(NamedTuple):
 _LENGTH_MAX = 1 << 24  # prefix symbols: 0.27-0.30 GB peak RSS to print 2^24 as JSON
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
-_CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.65 s and 96 MB peak RSS at 2^20
+_CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.5 s and 56 MB peak RSS at 2^20
 _VALIDATE_MAX = 1 << 20  # validating a construction holds ~250 MB at 2^20
 _RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
 _WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hanoiseq import automaton
 from hanoiseq.automaton import (Dfao, NonUniformError,
                                 dfao_from_uniform_morphism, kernel_explore)
 from hanoiseq.catalog import BINARY_ALPHABET, morphic_entry
-from hanoiseq.words import Alphabet, Word
+from hanoiseq.words import Word
 
 UNIFORM_NAMES = ("classical-hanoi", "lazy-hanoi", "period-doubling",
                  "thue-morse", "z-uniform")
@@ -15,22 +17,29 @@ UNIFORM_NAMES = ("classical-hanoi", "lazy-hanoi", "period-doubling",
 
 class TestDfaoConstruction:
     def test_classical_shape(self):
-        dfao = dfao_from_uniform_morphism(morphic_entry("classical-hanoi"))
-        assert len(dfao.states.symbols) == 6
+        spec = morphic_entry("classical-hanoi")
+        dfao = dfao_from_uniform_morphism(spec)
+        assert dfao == Dfao(spec) and dfao.spec is spec
         assert dfao.radix == 2
 
     def test_lazy_shape(self):
         dfao = dfao_from_uniform_morphism(morphic_entry("lazy-hanoi"))
-        assert len(dfao.states.symbols) == 4
+        assert [f.name for f in dataclasses.fields(dfao)] == ["spec"]
         assert dfao.radix == 3
 
     def test_nonuniform_rejected(self):
         with pytest.raises(NonUniformError):
             dfao_from_uniform_morphism(morphic_entry("fibonacci"))
+        with pytest.raises(NonUniformError):
+            Dfao(morphic_entry("z-nonuniform"))
 
     def test_coded_output(self):
-        dfao = dfao_from_uniform_morphism(morphic_entry("z-uniform"))
-        assert dfao.output[dfao.states.index("4")] == "1"
+        # the walk ends on state 4, and the coding sends 4 to 1
+        spec = morphic_entry("z-uniform")
+        n = spec.pure_prefix(64).tokens().index("4")
+        dfao = Dfao(spec)
+        assert dfao.eval(n) == "1"
+        assert dfao.eval_many([n]) == spec.prefix(n + 1)[n:]
 
 
 class TestDfaoEval:
@@ -51,6 +60,7 @@ class TestDfaoEval:
         dfao = dfao_from_uniform_morphism(spec)
         prefix = spec.prefix(2 ** 10)
         assert all(dfao.eval(n) == prefix[n] for n in range(2 ** 10))
+        assert dfao.eval_many(np.arange(2 ** 10)) == prefix
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", UNIFORM_NAMES)
@@ -62,13 +72,6 @@ class TestDfaoEval:
         ns = [0] + [k ** j - 1 for j in range(1, 64) if k ** j - 1 <= 10 ** 18]
         ns += [10 ** 18] + [rng.randrange(10 ** rng.randint(1, 18)) for _ in range(300)]
         assert dfao.eval_many(np.array(ns)).tokens() == tuple(dfao.eval(n) for n in ns)
-
-    def test_eval_many_reads_no_leading_zero(self):
-        # the start state leaves on 0, so a leading 0 would change the term
-        states = Alphabet(("p", "q", "r"))
-        dfao = Dfao(states, 2, "p", ((1, 2), (2, 0), (0, 1)), ("x", "y", "z"))
-        ns = list(range(64)) + [2 ** 40 + 5, 3 ** 30]
-        assert dfao.eval_many(ns).tokens() == tuple(dfao.eval(n) for n in ns)
 
     def test_eval_many_of_nothing_is_empty(self):
         dfao = dfao_from_uniform_morphism(morphic_entry("thue-morse"))
@@ -84,20 +87,23 @@ class TestDfaoEval:
         # prolongability forces the 0-transition of the start state to loop,
         # so padding the digit string with leading zeros cannot matter
         spec = morphic_entry(name)
+        morphism = spec.morphism
         dfao = dfao_from_uniform_morphism(spec)
-        start = dfao.states.index(dfao.initial)
-        assert dfao.transitions[start][0] == start
-        for n in (0, 1, 7, 123):
+        assert morphism.image(spec.start)[0] == spec.start
+        ns = (0, 1, 7, 123)
+        for n in ns:
             digits = []
             m = n
             while m:
-                m, d = divmod(m, dfao.radix)
+                m, d = divmod(m, morphism.uniform_width)
                 digits.append(d)
             digits += [0, 0, 0]  # pad at the significant end
-            state = start
+            state = spec.start
             for d in reversed(digits):
-                state = dfao.transitions[state][d]
-            assert dfao.output[state] == dfao.eval(n)
+                state = morphism.image(state)[d]
+            term = spec.coding.image(state)[0] if spec.coding else state
+            assert term == dfao.eval(n)
+        assert dfao.eval_many(ns).tokens() == tuple(dfao.eval(n) for n in ns)
 
 
 def _digit_map_monoid_size(name, max_len):
@@ -168,6 +174,20 @@ class TestKernelExplore:
         word = Word.from_tokens(BINARY_ALPHABET, "0 1 1 0")
         report = kernel_explore(word, 2, 8)
         assert report.insufficient_evidence
+
+    def test_depth_past_the_prefix_costs_no_power_of_its_size(self):
+        # radix^depth alone would be megabytes; every depth past the
+        # prefix's bit length gives the report of that bit length
+        word = Word.from_tokens(BINARY_ALPHABET, "0 1 1 0 1 0 0 1 1 0")
+        tracemalloc.start()
+        try:
+            report = kernel_explore(word, 3, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.insufficient_evidence
+        assert report == dataclasses.replace(kernel_explore(word, 3, 4), depth=10 ** 7)
 
     def test_work_budget(self, thue_morse_64k, monkeypatch):
         # thue-morse is 2-automatic but not 3-automatic: its radix-3 kernel

@@ -89,9 +89,11 @@ def test_automaton_evaluates_the_prefix(data):
         st.integers(0, 2), min_size=len(images), max_size=len(images)))
     spec = build_spec(images, coding_table)
     dfao = dfao_from_uniform_morphism(spec)
-    prefix = spec.prefix(200).tokens()
+    prefix = spec.prefix(200)
     assert [dfao.eval(i) for i in range(200)] == list(prefix)
-    assert dfao.eval_many(np.arange(200)).tokens() == prefix
+    assert dfao.eval_many(np.arange(200)) == prefix
+    ns = data.draw(st.lists(st.integers(0, 10 ** 18), max_size=20))
+    assert dfao.eval_many(ns).tokens() == tuple(dfao.eval(n) for n in ns)
 
 
 @PROPERTY

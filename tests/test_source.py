@@ -1,12 +1,16 @@
 """Checks on the package source itself rather than on its behaviour."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import hanoiseq
 
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+# names the benchmark tracer still lists whose code is gone
+STALE = {"words.Coding.apply", "nonuniform.validate_construction"}
 MODULES = sorted(p for p in Path(hanoiseq.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports only to re-export
 
@@ -34,3 +38,42 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "import sys\nfrom .words import Word, DomainError\nprint(Word)\n"
     assert unused_imports(source) == ["sys (line 1)", "DomainError (line 2)"]
+
+
+def traced_names(source: str) -> set[str]:
+    """Dotted names of package code that the benchmark tracer hooks, times
+    inclusively or looks up by span name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target, value = node.targets[0].id, node.value
+            if target == "HOOKS":
+                names.update(ast.literal_eval(key) for key in value.keys)
+            elif target == "INCLUSIVE":
+                names.update(n for spans in value.values for n in ast.literal_eval(spans))
+            elif target == "CLI_HELPERS":
+                names.update(f"cli.{n}" for n in ast.literal_eval(value))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ids"
+              and isinstance(node.args[0], ast.Tuple)):
+            names.update(ast.literal_eval(node.args[0]))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """True when "layer.attr[.attr]" names a callable in hanoiseq.layer."""
+    layer, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"hanoiseq.{layer}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return callable(obj)
+
+
+def test_the_benchmark_traces_names_that_exist():
+    # a renamed function would silently zero the tracer's per-layer counters
+    names = traced_names(TRACER.read_text())
+    assert {"automaton.Dfao.eval", "cli._sequence_solution",
+            "words.Word.text"} <= names
+    assert sorted(n for n in names - STALE if not resolves(n)) == []
+    # the stale names are still listed and still gone, so this list is current
+    assert STALE <= names
+    assert sorted(n for n in STALE if resolves(n)) == []
