@@ -106,6 +106,16 @@ GOLDEN = [
     ('squarefree --seq classical-hanoi --length 10000 --format json', 0, "0ca5601dc888b1021f82b4f3604e109edefdd3f69ed1d3f95b7d8151ea09d800"),
     ('kernel --seq period-doubling --radix 2 --depth 8 --format json', 0, "2c59c6ec26167f105a261e843af7cf8c77480fefb655a22f25ad74d7d4cdb9ca"),
     ('construct-nonuniform --seq thue-morse --validate 16384 --format json', 0, "d5a59eb56a6db7abe643988572503f3d3675bdeeac8cc871cc0f020a7704a895"),
+    # every other uniform catalog entry through the two-letter extension,
+    # recorded before the construction became a view of four values
+    ('construct-nonuniform --seq classical-hanoi --validate 4096', 0, "64ebb14d858a6d34b0b4fa41fe5e2752aa59eb778f8f02f4993edb8596f869ea"),
+    ('construct-nonuniform --seq classical-hanoi --validate 4096 --format json', 0, "cba5f44537750ac73acefa2404c5b14249597009632a42356957d8cc66b7ad81"),
+    ('construct-nonuniform --seq lazy-hanoi --validate 4096', 0, "6290d62dbf5f5e6558b576fa4e8dbc98c04c27797d6dfce5c07d5a26d988f742"),
+    ('construct-nonuniform --seq lazy-hanoi --validate 4096 --format json', 0, "ecdc47a14ee99ec13c00082a6a518393ece4cdb9fe616550a068d39e35966ed9"),
+    ('construct-nonuniform --seq period-doubling --validate 4096', 0, "b569063d4e833c9050705219fd03b68b0c4e998ea92f6dc0e96181e4852bc904"),
+    ('construct-nonuniform --seq period-doubling --validate 4096 --format json', 0, "ad166b653c091b70aa9b5e902b31b2f6af3ec14f9f846873e8cd42be692a6b73"),
+    ('construct-nonuniform --seq z-uniform --validate 4096', 0, "34bfa863a3580c5e252163464f3f5c39f3d991c60ce517e4319e0f651fcd0d08"),
+    ('construct-nonuniform --seq z-uniform --validate 4096 --format json', 0, "7e9384b75eda2f32ced37d8c05d090547994bd746669319f5da05c1becc109b7"),
     ('eval --seq classical-hanoi --index 9 --check-prefix 65536 --format json', 0, "2fdccb5ef44bf36936c11ba951cc5169915c49b546ffb8127b00ecbb0c4149e0"),
     ('eval --seq thue-morse --check-prefix 100 --format json', 0, "b0a17d35db610e6181923aaccf22018430bfbe6aaae7bef9a9ecb53e3ae415e8"),
     ('christol verify --order 4096 --format json', 0, "0d4eacc80d0a46f769ca30f8d83dd0c8ba81442017d719e8003d673bca9c8d16"),
