@@ -79,9 +79,15 @@ def _parse_value_map(text):
     mapping = {}
     for item in text.split(","):
         sym, _, value = item.partition("=")
-        if not sym or not value:
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if not sym or number is None:
             raise ValueError(f"bad --map entry {item!r}; use sym=value,sym=value")
-        mapping[sym] = int(value)
+        if sym in mapping:
+            raise ValueError(f"--map gives symbol {sym!r} twice")
+        mapping[sym] = number
     return mapping
 
 

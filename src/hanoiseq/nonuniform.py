@@ -1,22 +1,27 @@
 """Non-uniform presentations of uniform substitution fixed points.
 
-Given a k-uniform morphism g fixed at a start symbol, there is a letter
-b (distinct from the start) that some power of g maps to a word
-containing b twice.  After squaring that power enough, its image of b
-decomposes as w1 b c w2 with w1 and w2 non-empty, where c is the letter
-following the interior b.  Introducing two fresh letters b' and c', the
-extended morphism sends b to w1 b' c' w2, keeps every other old letter,
-and splits g(b)g(c) = z t into two pieces of different lengths that
-become the images of b' and c'.  The result is non-uniform, its fixed
-point maps back onto the original one under the coding that drops the
-primes, and the images of whole blocks of twice the uniform width
-commute with that coding.  ``validation_failures`` checks all of this
-on finite prefixes.
+Given a k-uniform morphism fixed at a start symbol, there is a letter b
+(distinct from the start) and a power g of the morphism whose image of b
+has an interior occurrence of b: g(b) = w1 b c w2 with w1 and w2
+non-empty, where c is the letter following that b.  Introducing two
+fresh letters b' and c', the extended morphism g' sends b to
+w1 b' c' w2, keeps every other old letter's image, and splits
+g(b)g(c) = z t, with z its first letter, into the images of b' and c'.
+The result is non-uniform, its fixed point maps back onto the original
+one under the coding that drops the primes, and the images of whole
+blocks of twice the uniform width commute with that coding.
+
+A ``Construction`` holds only the four choices (source morphism, start,
+power and expanding letter b); c, z, t, g', the coding and the block
+length are read off them, so these identities hold letter by letter by
+construction.  ``validation_failures`` checks the consequences on finite
+prefixes of the fixed points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +31,7 @@ from .words import (Alphabet, Morphism, MorphicSpec, ProlongabilityError, Word,
 
 
 class ConstructionError(ValueError):
-    """No valid expanding-letter decomposition was found."""
+    """The choices admit no two-letter extension."""
 
 
 def _reachable(m: Morphism, start: str) -> set[int]:
@@ -43,15 +48,18 @@ def _reachable(m: Morphism, start: str) -> set[int]:
     return seen
 
 
+def _check_source(m: Morphism, start: str) -> None:
+    if (m.uniform_width or 0) < 2:
+        raise ValueError("expanding-letter search needs a uniform morphism of width >= 2")
+    if not is_prolongable(m, start):
+        raise ProlongabilityError(f"morphism is not prolongable at {start!r}")
+
+
 def find_expanding_letter(m: Morphism, start: str) -> tuple[str, int]:
     """Smallest power p, and the first letter b != start in alphabet order
     occurring in the fixed point, with b appearing at least twice in
     m^p(b).  Fails after power 2 * alphabet size."""
-    width = m.uniform_width
-    if width is None or width < 2:
-        raise ValueError("expanding-letter search needs a uniform morphism of width >= 2")
-    if not is_prolongable(m, start):
-        raise ProlongabilityError(f"morphism is not prolongable at {start!r}")
+    _check_source(m, start)
     reachable = _reachable(m, start)
     start_idx = m.domain.index(start)
     candidates = [i for i in range(len(m.domain.symbols))
@@ -77,31 +85,72 @@ def _fresh_symbol(base: str, taken: set[str]) -> str:
 class Construction:
     """A non-uniform presentation of a uniform morphism's fixed point.
 
-    The extended alphabet is the source alphabet followed by the two new
-    letters, in that order.  ``effective`` is the source morphism raised
-    to ``power``; its fixed point at ``start`` is the same sequence as
-    the source's.
+    Four values determine it: the k-uniform ``source`` (k >= 2),
+    prolongable at ``start``; the ``power`` p, so that ``effective`` =
+    source^p has the same fixed point at ``start``; and the ``expanding``
+    letter b != start, whose effective image has an interior occurrence
+    of b.  Everything else is derived from these, once, on first use.
+    The extended alphabet is the source alphabet followed by b' and c',
+    in that order.
     """
 
     source: Morphism
     start: str
     power: int
     expanding: str
-    companion: str
-    w1: Word
-    w2: Word
-    w3: Word
-    z: Word
-    t: Word
-    morphism: Morphism
-    coding: Morphism
-    block_length: int
-    effective: Morphism
 
     def __post_init__(self):
-        problems = self._invariant_problems()
-        if problems:
-            raise ConstructionError("; ".join(problems))
+        _check_source(self.source, self.start)
+        if self.expanding == self.start:
+            raise ConstructionError("expanding letter must differ from the start symbol")
+        if self._interior is None:
+            raise ConstructionError(
+                f"no interior occurrence of {self.expanding!r} with non-empty flanks")
+
+    @cached_property
+    def effective(self) -> Morphism:
+        return self.source.power(self.power)
+
+    @cached_property
+    def _interior(self) -> Optional[int]:
+        # first i with g(b)[i] = b and both g(b)[:i] and g(b)[i + 2:] non-empty
+        b = self.source.domain.index(self.expanding)
+        hits = np.flatnonzero(self.effective.images[b].indices[1:-2] == b)
+        return int(hits[0]) + 1 if hits.size else None
+
+    @cached_property
+    def companion(self) -> str:
+        """c: the letter after the interior b (it may equal b)."""
+        return self.effective.image(self.expanding)[self._interior + 1]
+
+    @cached_property
+    def z(self) -> Word:
+        return self.effective.image(self.expanding)[:1]
+
+    @cached_property
+    def t(self) -> Word:
+        """g(b)g(c) without its first letter: longer than z, since k >= 2."""
+        return self.effective.image(self.expanding)[1:] + self.effective.image(self.companion)
+
+    @property
+    def block_length(self) -> int:
+        return 2 * self.effective.uniform_width
+
+    @cached_property
+    def morphism(self) -> Morphism:
+        """g': b -> w1 b' c' w2, b' -> z, c' -> t, every other letter as g."""
+        domain = self.source.domain
+        n = len(domain.symbols)
+        b_new = _fresh_symbol(self.expanding, set(domain.symbols))
+        c_new = _fresh_symbol(self.companion, set(domain.symbols) | {b_new})
+        extended = Alphabet(domain.symbols + (b_new, c_new))
+        # old indices stay valid: the extension appends the new letters
+        images = [img.indices for img in self.effective.images] + [self.z.indices,
+                                                                   self.t.indices]
+        b = domain.index(self.expanding)
+        images[b] = images[b].copy()
+        images[b][self._interior:self._interior + 2] = (n, n + 1)
+        return Morphism(extended, extended, tuple(Word(extended, img) for img in images))
 
     @property
     def primed_expanding(self) -> str:
@@ -111,37 +160,13 @@ class Construction:
     def primed_companion(self) -> str:
         return self.morphism.domain.symbols[-1]
 
-    def _invariant_problems(self) -> list[str]:
-        problems = []
-        if self.expanding == self.start:
-            problems.append("expanding letter must differ from the start symbol")
-        if not len(self.w1) or not len(self.w2):
-            problems.append("w1 and w2 must be non-empty")
-        if not len(self.z) or not len(self.t):
-            problems.append("z and t must be non-empty")
-        if len(self.z) == len(self.t):
-            problems.append("z and t must have different lengths")
-        bc = (self.expanding, self.companion)
-        if self.z.tokens() + self.t.tokens() != self.w1.tokens() + bc + self.w3.tokens():
-            problems.append("z t must spell out w1 b c w3")
-        if self.effective.image(self.expanding).tokens() != (
-                self.w1.tokens() + bc + self.w2.tokens()):
-            problems.append("effective image of b must spell out w1 b c w2")
-        primed = (self.primed_expanding, self.primed_companion)
-        for sym in self.source.domain.symbols:
-            want = (self.w1.tokens() + primed + self.w2.tokens()
-                    if sym == self.expanding else self.effective.image(sym).tokens())
-            if self.morphism.image(sym).tokens() != want:
-                problems.append(f"output image of {sym!r} is wrong")
-        if self.morphism.image(self.primed_expanding).tokens() != self.z.tokens():
-            problems.append("image of the primed expanding letter must be z")
-        if self.morphism.image(self.primed_companion).tokens() != self.t.tokens():
-            problems.append("image of the primed companion letter must be t")
-        if self.morphism.uniform_width is not None:
-            problems.append("output morphism must not be uniform")
-        if self.block_length != 2 * (self.effective.uniform_width or 0):
-            problems.append("block length must be twice the effective width")
-        return problems
+    @cached_property
+    def coding(self) -> Morphism:
+        """The coding that drops the primes."""
+        extended = self.morphism.domain
+        old = self.source.domain.symbols
+        rules = dict(zip(extended.symbols, old + (self.expanding, self.companion)))
+        return Morphism.from_rules(extended, rules, self.source.domain)
 
     def to_json(self) -> dict:
         data = spec_to_json(MorphicSpec(self.morphism, self.start, self.coding))
@@ -159,67 +184,17 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     """Build the two-letter extension presenting m's fixed point at start
     as the coded fixed point of a non-uniform morphism.
 
-    The companion is whatever letter follows the first interior
-    occurrence of the expanding letter (it may equal it); squaring makes
-    room when no interior occurrence leaves both flanks non-empty.  The
-    split of w1 b c w3 keeps z a single letter, so the two new images
-    always have different lengths.
+    The power is that of ``find_expanding_letter``, doubled up to twice
+    until the effective image of the expanding letter has an interior
+    occurrence with non-empty flanks.
     """
     letter, power = find_expanding_letter(m, start)
-    g = m.power(power)
-    domain = m.domain
-    b_idx = domain.index(letter)
-    interior = None
-    for _ in range(3):
-        image = g.images[b_idx].indices.tolist()
-        for i in range(1, len(image) - 2):
-            if image[i] == b_idx:
-                interior = i
-                break
-        if interior is not None:
-            break
-        g = g.power(2)
-        power *= 2
-    if interior is None:
-        raise ConstructionError(
-            f"no interior occurrence of {letter!r} with non-empty flanks")
-    c_idx = image[interior + 1]
-    companion = domain.symbols[c_idx]
-    w1 = Word(domain, image[:interior])
-    w2 = Word(domain, image[interior + 2:])
-    glued = image + g.images[c_idx].indices.tolist()  # w1 b c w3
-    w3 = Word(domain, glued[interior + 2:])
-    z = Word(domain, glued[:1])
-    t = Word(domain, glued[1:])
-    taken = set(domain.symbols)
-    b_new = _fresh_symbol(letter, taken)
-    taken.add(b_new)
-    c_new = _fresh_symbol(companion, taken)
-    extended = Alphabet(domain.symbols + (b_new, c_new))
-    b_new_idx = extended.index(b_new)
-    c_new_idx = extended.index(c_new)
-    images = []
-    for i in range(len(domain.symbols)):
-        if i == b_idx:
-            images.append(Word(extended,
-                               image[:interior] + [b_new_idx, c_new_idx]
-                               + image[interior + 2:]))
-        else:
-            # old indices stay valid: the extension appends new symbols
-            images.append(Word(extended, g.images[i].indices))
-    images.append(Word(extended, z.indices))
-    images.append(Word(extended, t.indices))
-    gprime = Morphism(extended, extended, tuple(images))
-    drop_primes = {sym: sym for sym in domain.symbols}
-    drop_primes[b_new] = letter
-    drop_primes[c_new] = companion
-    coding = Morphism.from_rules(extended, drop_primes, domain)
-    return Construction(
-        source=m, start=start, power=power,
-        expanding=letter, companion=companion,
-        w1=w1, w2=w2, w3=w3, z=z, t=t,
-        morphism=gprime, coding=coding,
-        block_length=2 * g.uniform_width, effective=g)
+    for p in (power, 2 * power, 4 * power):
+        try:
+            return Construction(m, start, p, letter)
+        except ConstructionError as exc:
+            refusal = exc
+    raise refusal
 
 
 def validation_failures(construction: Construction, length: int) -> list[str]:

@@ -31,6 +31,13 @@ class NonConvergentError(ValueError):
     """The pattern cannot pin down a hole-free limit."""
 
 
+def _check_pattern(pattern: tuple[str, ...]) -> None:
+    if not pattern:
+        raise NonConvergentError("pattern must not be empty")
+    if pattern[0] == HOLE:
+        raise NonConvergentError("pattern must not begin with a hole")
+
+
 @dataclass(frozen=True)
 class ToeplitzSpec:
     """A periodic pattern whose holes are filled by the sequence itself."""
@@ -41,10 +48,7 @@ class ToeplitzSpec:
     def __post_init__(self):
         pattern = _tokens(self.pattern)
         object.__setattr__(self, "pattern", pattern)
-        if not pattern:
-            raise NonConvergentError("pattern must not be empty")
-        if pattern[0] == HOLE:
-            raise NonConvergentError("pattern must not begin with a hole")
+        _check_pattern(pattern)
         if HOLE in self.alphabet:
             raise ValueError(f"hole token {HOLE!r} collides with an alphabet symbol")
         for tok in pattern:
@@ -56,6 +60,7 @@ class ToeplitzSpec:
                     alphabet: Optional[Alphabet] = None) -> "ToeplitzSpec":
         toks = _tokens(tokens)
         if alphabet is None:
+            _check_pattern(toks)  # before its symbols make an alphabet
             seen: list[str] = []
             for t in toks:
                 if t != HOLE and t not in seen:

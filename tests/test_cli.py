@@ -250,6 +250,15 @@ class TestToeplitz:
     def test_bad_pattern_is_usage_error(self, capsys):
         assert run(["toeplitz", "--pattern", ". 0 1", "--length", "4"]) == 2
 
+    @pytest.mark.parametrize("pattern,refusal", [
+        ("", "pattern must not be empty"),
+        (". .", "pattern must not begin with a hole"),
+    ])
+    def test_pattern_without_symbols_gets_the_pattern_refusal(self, pattern, refusal,
+                                                              capsys):
+        assert run(["toeplitz", "--pattern", pattern, "--length", "8"]) == 2
+        assert out_of(capsys) == ("", f"error: {refusal}\n")
+
 
 class TestOracles:
     def test_census(self, capsys):
@@ -327,6 +336,20 @@ class TestOracles:
         # refused before any work: the --index term is not printed either
         assert run(argv.split()) == 2
         assert out_of(capsys) == ("", f"error: {flag} must be >= 0, got {value}\n")
+
+    @pytest.mark.parametrize("entry", ["1=x", "0=1.5"])
+    def test_christol_search_refuses_a_map_value_that_is_not_an_integer(self, entry,
+                                                                        capsys):
+        assert run(["christol", "search", "--seq", "period-doubling",
+                    "--map", entry]) == 2
+        assert out_of(capsys) == (
+            "", f"error: bad --map entry {entry!r}; use sym=value,sym=value\n")
+
+    def test_christol_search_refuses_a_repeated_map_symbol(self, capsys):
+        # keeping the last value would map both symbols to 0
+        assert run(["christol", "search", "--seq", "period-doubling",
+                    "--map", "1=1,0=0,1=0"]) == 2
+        assert out_of(capsys) == ("", "error: --map gives symbol '1' twice\n")
 
     def test_christol_search_reduces_large_map_values(self, capsys):
         # 10^30 = 1 mod 3: the same series as a=1,b=1

@@ -1,9 +1,10 @@
 import dataclasses
+import types
 
 import pytest
 
 from hanoiseq.catalog import morphic_entry
-from hanoiseq.nonuniform import (ConstructionError, construct_nonuniform,
+from hanoiseq.nonuniform import (Construction, ConstructionError, construct_nonuniform,
                                  find_expanding_letter, validation_failures)
 from hanoiseq.words import Morphism, MorphicSpec, Word
 
@@ -93,20 +94,30 @@ class TestConstruct:
             construction = construct_nonuniform(spec.morphism, spec.start)
             assert construction.expanding != spec.start
 
-    def test_split_lengths_must_differ(self):
-        spec = morphic_entry("period-doubling")
-        construction = construct_nonuniform(spec.morphism, spec.start)
-        half = construction.block_length // 2
-        glued = construction.z + construction.t
-        with pytest.raises(ConstructionError):
-            dataclasses.replace(construction, z=glued[:half], t=glued[half:])
+    def test_refuses_letter_without_interior_occurrence(self):
+        # thue-morse sends 1 to "1 0": no occurrence of 1 has two flanks
+        tm = morphic_entry("thue-morse").morphism
+        with pytest.raises(ConstructionError, match="no interior occurrence"):
+            Construction(tm, "0", 1, "1")
+        assert Construction(tm, "0", 4, "1").companion == "0"
 
-    def test_flanks_must_be_nonempty(self):
-        spec = morphic_entry("period-doubling")
+    def test_refuses_choices_no_derivation_can_mend(self):
+        tm = morphic_entry("thue-morse").morphism
+        with pytest.raises(ConstructionError, match="differ from the start"):
+            Construction(tm, "0", 2, "0")
+        with pytest.raises(ValueError, match="width >= 2"):
+            Construction(morphic_entry("fibonacci").morphism, "a", 2, "b")
+        # period-doubling sends 0 to "1 1"
+        with pytest.raises(ValueError, match="not prolongable"):
+            Construction(morphic_entry("period-doubling").morphism, "0", 2, "1")
+
+    def test_four_values_determine_it(self):
+        spec = morphic_entry("lazy-hanoi")
         construction = construct_nonuniform(spec.morphism, spec.start)
-        domain = spec.morphism.domain
-        with pytest.raises(ConstructionError):
-            dataclasses.replace(construction, w1=Word(domain))
+        assert [f.name for f in dataclasses.fields(construction)] == \
+            ["source", "start", "power", "expanding"]
+        assert construction == Construction(spec.morphism, spec.start,
+                                            construction.power, construction.expanding)
 
     def test_coded_prefix_equals_source(self):
         spec = morphic_entry("thue-morse")
@@ -115,29 +126,21 @@ class TestConstruct:
         assert construction.coding.apply(primed) == spec.prefix(4096)
 
     def test_validation_diagnoses_broken_construction(self):
-        # a garbled w3 keeps every shape invariant intact (z t still spells
-        # w1 b c w3) but derails the coded fixed point
+        # a garbled image of c' derails the coded fixed point; no derived
+        # value can be garbled, so the attributes validation reads are
+        # copied onto a stand-in with the broken morphism
         spec = morphic_entry("thue-morse")
         good = construct_nonuniform(spec.morphism, spec.start)
-        source_domain = spec.morphism.domain
         extended = good.morphism.domain
-        bad_w3 = Word(source_domain, tuple(reversed(good.w3.indices)))
-        assert bad_w3 != good.w3
-        glued = (good.w1.indices.tolist()
-                 + [source_domain.index(good.expanding),
-                    source_domain.index(good.companion)]
-                 + bad_w3.indices.tolist())
-        images = list(good.morphism.images)
-        images[-2] = Word(extended, glued[:1])
-        images[-1] = Word(extended, glued[1:])
-        broken = dataclasses.replace(
-            good,
-            w3=bad_w3,
-            z=Word(source_domain, glued[:1]),
-            t=Word(source_domain, glued[1:]),
-            morphism=Morphism(extended, extended, tuple(images)))
-        failures = validation_failures(broken, 2 ** 10)
-        assert failures
+        bad_t = Word(extended, good.t.indices[::-1])
+        assert bad_t.indices.tolist() != good.t.indices.tolist()
+        broken = types.SimpleNamespace(
+            start=good.start, coding=good.coding, effective=good.effective,
+            block_length=good.block_length, primed_expanding=good.primed_expanding,
+            primed_companion=good.primed_companion,
+            morphism=Morphism(extended, extended, good.morphism.images[:-1] + (bad_t,)))
+        assert not validation_failures(good, 2 ** 10)
+        assert validation_failures(broken, 2 ** 10)
 
     def test_json_provenance(self):
         spec = morphic_entry("period-doubling")

@@ -182,6 +182,31 @@ def test_construction_validates_or_raises(images):
     assert not validation_failures(construction, 512)
 
 
+@PROPERTY
+@given(morphisms(uniform=True, max_letters=4))
+def test_construction_identities_hold_letter_by_letter(images):
+    # with tau the coding, g the effective morphism and g' the extension
+    spec = build_spec(images)
+    try:
+        construction = construct_nonuniform(spec.morphism, spec.start)
+    except ConstructionError:
+        return
+    tau, g, gp = construction.coding, construction.effective, construction.morphism
+    b, c = construction.expanding, construction.companion
+    bp, cp = construction.primed_expanding, construction.primed_companion
+    for sym in spec.morphism.domain.symbols:
+        assert tau.apply(gp.image(sym)) == g.apply(tau.image(sym))
+    assert tau.apply(gp.image(bp) + gp.image(cp)) == g.image(b) + g.image(c)
+    for sym in gp.domain.symbols:
+        tokens = gp.image(sym).tokens()
+        at_bp = [i for i, x in enumerate(tokens) if x == bp]
+        at_cp = [i for i, x in enumerate(tokens) if x == cp]
+        assert len(at_bp) == (sym == b)
+        assert [i + 1 for i in at_bp] == at_cp
+    assert len(construction.z) != len(construction.t)
+    assert gp.uniform_width is None
+
+
 def reference_noncommuting_block(construction, primed):
     ell = construction.block_length
     for j in range(len(primed) // ell):
