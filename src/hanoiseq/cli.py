@@ -73,21 +73,36 @@ def _emit(fmt, lines, payload) -> None:
             print(line if isinstance(line, str) else line.text())
 
 
-def _parse_value_map(text):
-    if text is None:
-        return None
+def _value_map(text, word: Word) -> dict:
+    """Field values of the symbols of a word's terms: the --map entries,
+    or without --map each symbol's own integer value."""
+    symbols = word.alphabet.symbols
     mapping = {}
-    for item in text.split(","):
-        sym, _, value = item.partition("=")
-        try:
-            number = int(value)
-        except ValueError:
-            number = None
-        if not sym or number is None:
-            raise ValueError(f"bad --map entry {item!r}; use sym=value,sym=value")
-        if sym in mapping:
-            raise ValueError(f"--map gives symbol {sym!r} twice")
-        mapping[sym] = number
+    if text is None:
+        for sym in symbols:
+            try:
+                mapping[sym] = int(sym)
+            except ValueError:
+                pass
+    else:
+        for item in text.split(","):
+            sym, _, value = item.partition("=")
+            try:
+                number = int(value)
+            except ValueError:
+                number = None
+            if not sym or number is None:
+                raise ValueError(f"bad --map entry {item!r}; use sym=value,sym=value")
+            if sym in mapping:
+                raise ValueError(f"--map gives symbol {sym!r} twice")
+            if sym not in symbols:
+                raise ValueError(f"--map symbol {sym!r} is not in the sequence's "
+                                 f"alphabet: {', '.join(symbols)}")
+            mapping[sym] = number
+    used = np.flatnonzero(np.bincount(word.indices, minlength=len(symbols)))
+    unvalued = [symbols[i] for i in used if symbols[i] not in mapping]
+    if unvalued:
+        raise ValueError(f"symbol {unvalued[0]!r} has no value; give one with --map")
     return mapping
 
 
@@ -285,7 +300,7 @@ def _poly_text(poly) -> str:
 def cmd_christol_search(args) -> Result:
     word = catalog_prefix(args.seq, args.order)
     series = series_from_sequence(word, args.modulus, args.order,
-                                  value_map=_parse_value_map(args.map))
+                                  value_map=_value_map(args.map, word))
     relation = find_algebraic_relation(series, args.dmax, args.coeff_degree)
     if relation is None:
         return 0, [f"no relation with degree <= {args.dmax} and coefficient "
@@ -302,8 +317,6 @@ def cmd_christol_search(args) -> Result:
 def _derived_Z(length: int) -> IntSequence:
     # the k-th 0 of Thue-Morse sits at 2k + t_k, so a prefix of 2·length + 2
     # terms holds exactly length + 1 zeros, that is, length gaps
-    if length < 0:
-        raise ValueError("length must be >= 0")
     return derive_Z(catalog_prefix("thue-morse", 2 * length + 2))
 
 
@@ -386,7 +399,7 @@ _LENGTH_MAX = 1 << 24  # prefix symbols: 0.27-0.30 GB peak RSS to print 2^24 as 
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
 _CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.5 s and 56 MB peak RSS at 2^20
-_VALIDATE_MAX = 1 << 20  # validating a construction holds ~250 MB at 2^20
+_VALIDATE_MAX = 1 << 20  # construct-nonuniform --validate peaks at ~50 MB RSS at 2^20
 _RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
 _WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols
 # the largest modulus whose series products stay exact in int64 at _ORDER_MAX:

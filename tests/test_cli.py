@@ -351,6 +351,16 @@ class TestOracles:
                     "--map", "1=1,0=0,1=0"]) == 2
         assert out_of(capsys) == ("", "error: --map gives symbol '1' twice\n")
 
+    def test_christol_search_refuses_a_map_symbol_outside_the_alphabet(self, capsys):
+        assert run(["christol", "search", "--seq", "period-doubling", "--map", "2=1"]) == 2
+        assert out_of(capsys) == (
+            "", "error: --map symbol '2' is not in the sequence's alphabet: 0, 1\n")
+
+    def test_christol_search_names_the_map_for_a_symbol_without_value(self, capsys):
+        assert run(["christol", "search", "--seq", "period-doubling", "--map", "0=1"]) == 2
+        assert out_of(capsys) == (
+            "", "error: symbol '1' has no value; give one with --map\n")
+
     def test_christol_search_reduces_large_map_values(self, capsys):
         # 10^30 = 1 mod 3: the same series as a=1,b=1
         argv = ["christol", "search", "--seq", "fibonacci", "--modulus", "3", "--dmax", "1"]

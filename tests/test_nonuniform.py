@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import types
 
 import pytest
@@ -86,7 +87,7 @@ class TestConstruct:
         construction = construct_nonuniform(spec.morphism, spec.start)
         assert construction.morphism.uniform_width is None
         assert len(construction.z) == 1
-        assert len(construction.t) == construction.block_length - 1
+        assert len(construction.t) == 2 * construction.effective.uniform_width - 1
 
     def test_expanding_letter_differs_from_start(self):
         for name in UNIFORM_NAMES:
@@ -136,11 +137,23 @@ class TestConstruct:
         assert bad_t.indices.tolist() != good.t.indices.tolist()
         broken = types.SimpleNamespace(
             start=good.start, coding=good.coding, effective=good.effective,
-            block_length=good.block_length, primed_expanding=good.primed_expanding,
-            primed_companion=good.primed_companion,
+            primed_expanding=good.primed_expanding, primed_companion=good.primed_companion,
             morphism=Morphism(extended, extended, good.morphism.images[:-1] + (bad_t,)))
         assert not validation_failures(good, 2 ** 10)
         assert validation_failures(broken, 2 ** 10)
+
+    def test_validation_peaks_below_64_mb_at_its_cap(self):
+        # the prefixes of the two fixed points, not images of whole blocks
+        spec = morphic_entry("classical-hanoi")
+        construction = construct_nonuniform(spec.morphism, spec.start)
+        tracemalloc.start()
+        try:
+            failures = validation_failures(construction, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == []
+        assert peak < 64 * 10 ** 6
 
     def test_json_provenance(self):
         spec = morphic_entry("period-doubling")

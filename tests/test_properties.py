@@ -3,7 +3,6 @@ words against plain-Python reference implementations kept here."""
 
 import collections
 import json
-import types
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from hanoiseq.automaton import dfao_from_uniform_morphism, kernel_explore
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.classicseq import IntSequence, derive_U, derive_Z
 from hanoiseq.hanoi import factor_census, squarefree_check
-from hanoiseq.nonuniform import (ConstructionError, _first_noncommuting_block,
-                                 construct_nonuniform, validation_failures)
+from hanoiseq.nonuniform import (ConstructionError, construct_nonuniform,
+                                 validation_failures)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
 from hanoiseq.words import (Alphabet, Morphism, MorphicSpec, Word, spec_from_json,
                             spec_to_json)
@@ -171,6 +170,19 @@ def test_repeated_fill_pass_converges_to_expansion(pattern, length):
     assert stage == toeplitz_expand(spec, length).tokens()
 
 
+def reference_noncommuting_block(construction, primed):
+    """First full block of twice the uniform width on which coding after g'
+    and g after coding differ, or None."""
+    ell = 2 * construction.effective.uniform_width
+    for j in range(len(primed) // ell):
+        block = primed[j * ell:(j + 1) * ell]
+        left = construction.coding.apply(construction.morphism.apply(block))
+        right = construction.effective.apply(construction.coding.apply(block))
+        if left != right:
+            return j
+    return None
+
+
 @PROPERTY
 @given(morphisms(uniform=True, max_letters=4))
 def test_construction_validates_or_raises(images):
@@ -180,6 +192,9 @@ def test_construction_validates_or_raises(images):
     except ConstructionError:
         return
     assert not validation_failures(construction, 512)
+    # block commutation holds without a clause of its own
+    primed = MorphicSpec(construction.morphism, construction.start).pure_prefix(512)
+    assert reference_noncommuting_block(construction, primed) is None
 
 
 @PROPERTY
@@ -205,46 +220,6 @@ def test_construction_identities_hold_letter_by_letter(images):
         assert [i + 1 for i in at_bp] == at_cp
     assert len(construction.z) != len(construction.t)
     assert gp.uniform_width is None
-
-
-def reference_noncommuting_block(construction, primed):
-    ell = construction.block_length
-    for j in range(len(primed) // ell):
-        block = primed[j * ell:(j + 1) * ell]
-        left = construction.coding.apply(construction.morphism.apply(block))
-        right = construction.effective.apply(construction.coding.apply(block))
-        if left != right:
-            return j
-    return None
-
-
-@PROPERTY
-@given(st.data())
-def test_first_noncommuting_block_matches_block_loop(data):
-    # the source letters commute by construction; one extra letter gets a
-    # random image, and the word carries it at a few random places, so the
-    # first failing block (if any) can come late
-    source = alphabet_of(data.draw(st.integers(1, 3)))
-    n_src = len(source.symbols)
-    extended = Alphabet(source.symbols + ("bad",))
-    width = data.draw(st.integers(1, 3))
-    letter = st.integers(0, n_src - 1)
-    effective_images = [data.draw(st.lists(letter, min_size=width, max_size=width))
-                        for _ in range(n_src)]
-    bad_image = data.draw(st.lists(st.integers(0, n_src), max_size=2 * width))
-    construction = types.SimpleNamespace(
-        block_length=data.draw(st.integers(1, 4)),
-        effective=Morphism(source, source, tuple(Word(source, img)
-                                                 for img in effective_images)),
-        morphism=Morphism(extended, extended, tuple(
-            Word(extended, img) for img in effective_images + [bad_image])),
-        coding=coding_of(extended, source, tuple(range(n_src)) + (data.draw(letter),)))
-    primed = data.draw(st.lists(letter, min_size=8, max_size=60))
-    for _ in range(data.draw(st.integers(0, 3))):
-        primed.insert(data.draw(st.integers(0, len(primed))), n_src)
-    word = Word(extended, primed)
-    assert _first_noncommuting_block(construction, word) == \
-        reference_noncommuting_block(construction, word)
 
 
 @PROPERTY

@@ -40,6 +40,39 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["sys (line 1)", "DomainError (line 2)"]
 
 
+def unread_private_functions(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and methods, as "module:name", that
+    no source reads: called only from tests, or not at all."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(module, f.name) for f in body if isinstance(f, ast.FunctionDef)
+                        and f.name.startswith("_") and not f.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_function_is_read_in_the_package():
+    package = Path(hanoiseq.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_private_functions(sources) == []
+
+
+def test_the_check_sees_an_unread_private_function():
+    sources = {"a.py": "def _used():\n    pass\n\n"
+                       "def _orphan():\n    _used()\n\n"
+                       "class K:\n    def _method(self):\n        pass\n"
+                       "    def __init__(self):\n        pass\n",
+               "b.py": "K()._method\n"}
+    assert unread_private_functions(sources) == ["a.py:_orphan"]
+
+
 def traced_names(source: str) -> set[str]:
     """Dotted names of package code that the benchmark tracer hooks, times
     inclusively or looks up by span name."""
