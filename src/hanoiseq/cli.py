@@ -26,18 +26,12 @@ from .automaton import dfao_from_uniform_morphism, kernel_explore
 from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
 from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
                          doublefree_oracle)
-from .hanoi import (bfs_optimal, classical_target, factor_census, olive_solve,
-                    simulate, solution_length, squarefree_check, variant_by_name,
-                    verify_classical_prefix)
+from .hanoi import (SOLUTION_SEQUENCES, bfs_optimal, classical_target, factor_census,
+                    olive_solve, simulate, solution_length, squarefree_check,
+                    variant_by_name, verify_classical_prefix)
 from .nonuniform import construct_nonuniform, validation_failures
 from .toeplitz import ToeplitzSpec, toeplitz_expand
 from .words import Word
-
-_SEQUENCE_FOR_VARIANT = {
-    "classical": "classical-hanoi",
-    "cyclic": "cyclic-hanoi",
-    "lazy": "lazy-hanoi",
-}
 
 
 # A command prints nothing and returns (exit status, text lines, JSON payload)
@@ -128,8 +122,7 @@ def _sequence_solution(variant_name: str, disks: int):
     """The variant's catalog sequence cut where it first completes N disks,
     and the replay of that prefix."""
     variant = variant_by_name(variant_name)
-    word = catalog_prefix(_SEQUENCE_FOR_VARIANT[variant_name],
-                          solution_length(variant, disks))
+    word = catalog_prefix(SOLUTION_SEQUENCES[variant], solution_length(variant, disks))
     return word, simulate(word, disks, variant)
 
 
@@ -140,25 +133,20 @@ def cmd_hanoi_solve(args) -> Result:
         raise ValueError(f"input budget exceeded: --disks {args.disks} is more than "
                          f"{_BFS_DISKS_MAX} with --check-optimal")
     if args.olive:
-        peg = args.target or classical_target(args.disks)
-        word = olive_solve(args.disks, peg)
-        trace = simulate(word, args.disks, variant_by_name(args.variant))
-        if not trace.ok:
-            print(f"error: alternating solution is illegal: {trace.error}",
-                  file=sys.stderr)
-            return 1, [], None
-        method = "olive"
+        word = olive_solve(args.disks, args.target or classical_target(args.disks))
+        trace = simulate(word, args.disks, hanoi.CLASSICAL)
+        method, solver = "olive", "alternating solution"
     else:
         word, trace = _sequence_solution(args.variant, args.disks)
+        method, solver = "sequence", f"{args.variant} sequence"
+    peg = trace.tower_peg()
+    if peg is None:
         event = trace.event_for(args.disks)
-        if event is None or event[0] != len(word):
-            why = trace.error or (f"they first stand together at move {event[0]}"
-                                  if event else "they do not stand together within it")
-            print(f"error: the {args.variant} sequence does not complete {args.disks} "
-                  f"disks exactly at move {len(word)}: {why}", file=sys.stderr)
-            return 1, [], None
-        peg = event[2]
-        method = "sequence"
+        why = trace.error or (f"they first stand together at move {event[0]}"
+                              if event else "they do not stand together within it")
+        print(f"error: the {solver} does not complete {args.disks} disks exactly "
+              f"at move {len(word)}: {why}", file=sys.stderr)
+        return 1, [], None
     lines = [word, f"moves: {len(word)}", f"peg: {peg}"]
     payload = {"variant": args.variant, "disks": args.disks, "method": method,
                "moves": word, "steps": len(word), "peg": peg}
@@ -168,7 +156,7 @@ def cmd_hanoi_solve(args) -> Result:
         payload["target_ok"] = False
         status = 1
     if args.check_optimal:
-        best, _ = bfs_optimal(variant_by_name(args.variant), args.disks, "I", peg)
+        best, _ = bfs_optimal(trace.variant, args.disks, "I", peg)
         payload["optimal_steps"] = best
         payload["optimal"] = best == len(word)
         lines.append(f"optimal: {best} moves by search, "
@@ -395,7 +383,8 @@ class Command(NamedTuple):
 
 
 # the largest value of an option whose work grows with it
-_LENGTH_MAX = 1 << 24  # prefix symbols: 0.27-0.30 GB peak RSS to print 2^24 as JSON
+# prefix symbols; at 2^24 the worst request, derive --what U, peaks at 1.03 GB RSS in ~4 s
+_LENGTH_MAX = 1 << 24
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
 _CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.5 s and 56 MB peak RSS at 2^20
@@ -408,7 +397,7 @@ _MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
 _DMAX_MAX = 4  # one quadratic series product per degree, ~19 s at order 2^16
 _COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~21 s and 390 MB at order 2^16
 
-_VARIANT = _arg("--variant", choices=sorted(_SEQUENCE_FOR_VARIANT), default="classical")
+_VARIANT = _arg("--variant", choices=sorted(hanoi.VARIANTS), default="classical")
 _LENGTH = _arg("--length", type=int, required=True, bounds=(0, _LENGTH_MAX))
 
 GROUPS = {"hanoi": "puzzle solving and verification",

@@ -14,7 +14,7 @@ peg I), recording for every sub-tower size the first step at which
 disks 1..n stand together on a peg other than peg I.  An illegal move
 aborts the replay and is embedded in the returned trace; a move outside
 the variant's allowed set raises instead, since the caller picked the
-variant.
+variant.  A word solves N disks exactly when ``Trace.tower_peg`` is a peg.
 """
 
 from __future__ import annotations
@@ -202,6 +202,12 @@ class Trace:
                 return event
         return None
 
+    def tower_peg(self) -> Optional[str]:
+        """The peg where all the disks first stand together if they do so at
+        the last replayed move, else None (as after an illegal last move)."""
+        event = self.event_for(self.disks)
+        return event[2] if event and event[0] == len(self.moves) else None
+
     def to_json(self) -> dict:
         return {
             "disks": self.disks,
@@ -252,6 +258,10 @@ def classical_target(disks: int) -> str:
     return "II" if disks % 2 else "III"
 
 
+# the catalog sequence whose prefix solves each variant, cut by solution_length
+SOLUTION_SEQUENCES = {CLASSICAL: "classical-hanoi", CYCLIC: "cyclic-hanoi", LAZY: "lazy-hanoi"}
+
+
 def solution_length(variant: Variant, disks: int) -> int:
     """Moves after which the variant's catalog sequence first completes N
     disks: 2^N - 1 classical, (3^N - 1)/2 lazy (the transfer I->II), and
@@ -282,11 +292,8 @@ def verify_classical_prefix(disks: int) -> bool:
     """Does the length-(2^N - 1) prefix of the classical sequence move the
     tower to peg II (N odd) or III (N even), completing exactly at the end?"""
     steps = solution_length(CLASSICAL, disks)
-    word = catalog_lookup("classical-hanoi").prefix(steps)
-    trace = simulate(word, disks, CLASSICAL)
-    target = classical_target(disks)
-    return (trace.ok and trace.event_for(disks) == (steps, disks, target)
-            and trace.final.pegs[peg_index(target)] == tuple(range(disks, 0, -1)))
+    word = catalog_lookup(SOLUTION_SEQUENCES[CLASSICAL]).prefix(steps)
+    return simulate(word, disks, CLASSICAL).tower_peg() == classical_target(disks)
 
 
 def bfs_optimal(variant: Variant, disks: int,
@@ -300,8 +307,6 @@ def bfs_optimal(variant: Variant, disks: int,
     """
     if disks < 0:
         raise ValueError("disk count must be >= 0")
-    if disks == 0:
-        return 0, Word(HANOI_ALPHABET)
     src = peg_index(source)
     dst = peg_index(target)
     if src == dst:

@@ -184,17 +184,18 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
     """Build the two-letter extension presenting m's fixed point at start
     as the coded fixed point of a non-uniform morphism.
 
-    The power is that of ``find_expanding_letter``, doubled up to twice
-    until the effective image of the expanding letter has an interior
-    occurrence with non-empty flanks.
+    The power is that of ``find_expanding_letter``, or twice it when the
+    effective image of the expanding letter b has no interior occurrence
+    with non-empty flanks.  Twice always builds: with g the power's
+    morphism, K = |g(b)| and b at positions i < j of g(b), g^2(b) has b at
+    the four positions iK + i, iK + j, jK + i and jK + j, and only three
+    of its positions (0, K^2 - 2 and K^2 - 1) are not interior.
     """
     letter, power = find_expanding_letter(m, start)
-    for p in (power, 2 * power, 4 * power):
-        try:
-            return Construction(m, start, p, letter)
-        except ConstructionError as exc:
-            refusal = exc
-    raise refusal
+    try:
+        return Construction(m, start, power, letter)
+    except ConstructionError:
+        return Construction(m, start, 2 * power, letter)
 
 
 def validation_failures(construction: Construction, length: int) -> list[str]:

@@ -118,7 +118,17 @@ class TestHanoi:
         assert run(["hanoi", "solve", "--disks", "1", "--olive", "--format", fmt]) == 1
         out, err = out_of(capsys)
         assert out == ""
-        assert err.startswith("error: alternating solution is illegal: ")
+        assert err.startswith("error: the alternating solution does not complete 1 disks "
+                              "exactly at move 2: ")
+        assert err.count("\n") == 1
+
+    def test_olive_peg_is_read_off_the_replay(self, monkeypatch, capsys):
+        # "C" is legal for one disk but lands on peg III, not the II asked for
+        monkeypatch.setattr(cli, "olive_solve",
+                            lambda disks, target: Word.from_tokens(HANOI_ALPHABET, "C"))
+        assert run(["hanoi", "solve", "--disks", "1", "--olive", "--target", "II"]) == 1
+        assert out_of(capsys) == ("C\nmoves: 1\npeg: III\n"
+                                  "target check: reached III, wanted II\n", "")
 
     @pytest.mark.parametrize("variant", ["classical", "cyclic", "lazy"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -219,6 +229,12 @@ class TestHanoi:
                     "--target", "III"]) == 0
         out, _ = out_of(capsys)
         assert "optimal: 15" in out
+
+    @pytest.mark.parametrize("disks", ["0", "1"])
+    def test_bfs_refuses_equal_pegs(self, disks, capsys):
+        assert run(["hanoi", "bfs", "--disks", disks, "--source", "I",
+                    "--target", "I"]) == 2
+        assert out_of(capsys) == ("", "error: source and target pegs must differ\n")
 
 
 class TestToeplitz:

@@ -163,6 +163,8 @@ class TestBfsOptimal:
     def test_same_pegs_rejected(self):
         with pytest.raises(ValueError):
             bfs_optimal(CLASSICAL, 2, "I", "I")
+        with pytest.raises(ValueError, match="source and target pegs must differ"):
+            bfs_optimal(CLASSICAL, 0, "III", "III")
 
     def test_unreachable(self):
         only_a = Variant("only-a", frozenset(("a",)))

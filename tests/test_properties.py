@@ -15,8 +15,8 @@ from hanoiseq.automaton import dfao_from_uniform_morphism, kernel_explore
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.classicseq import IntSequence, derive_U, derive_Z
 from hanoiseq.hanoi import factor_census, squarefree_check
-from hanoiseq.nonuniform import (ConstructionError, construct_nonuniform,
-                                 validation_failures)
+from hanoiseq.nonuniform import (Construction, ConstructionError, construct_nonuniform,
+                                 find_expanding_letter, validation_failures)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
 from hanoiseq.words import (Alphabet, Morphism, MorphicSpec, Word, spec_from_json,
                             spec_to_json)
@@ -195,6 +195,18 @@ def test_construction_validates_or_raises(images):
     # block commutation holds without a clause of its own
     primed = MorphicSpec(construction.morphism, construction.start).pure_prefix(512)
     assert reference_noncommuting_block(construction, primed) is None
+
+
+@PROPERTY
+@given(morphisms(uniform=True, max_letters=4))
+def test_twice_the_expanding_power_always_builds(images):
+    # b twice in g(b) puts b at four places of g^2(b), only three of them not interior
+    spec = build_spec(images)
+    try:
+        letter, power = find_expanding_letter(spec.morphism, spec.start)
+    except ConstructionError:
+        return
+    Construction(spec.morphism, spec.start, 2 * power, letter)  # raises if it cannot build
 
 
 @PROPERTY
@@ -399,6 +411,25 @@ def test_simulate_matches_reference_replay(case):
     tokens, disks, variant = case
     word = Word.from_tokens(REPLAY_ALPHABET, tokens)
     assert replay(word, disks, variant) == reference_replay(tokens, disks, variant)
+
+
+@PROPERTY
+@given(move_words())
+def test_tower_peg_is_the_reference_completion_at_the_last_move(case):
+    tokens, disks, variant = case
+    reference = reference_replay(tokens, disks, variant)
+    if isinstance(reference, str):
+        return  # a move outside the variant raises before any trace
+    completions = [e[0] for e in reference["events"] if e[1] == disks]
+    # the word as drawn, and cut where the reference first completes the tower
+    for cut in {len(tokens), *completions}:
+        expected = reference_replay(tokens[:cut], disks, variant)
+        event = next((e for e in expected["events"] if e[1] == disks), None)
+        solved = (expected["error"] is None and event is not None
+                  and event[0] == len(expected["moves"]))
+        trace = hanoi.simulate(Word.from_tokens(REPLAY_ALPHABET, tokens[:cut]),
+                               disks, variant)
+        assert trace.tower_peg() == (event[2] if solved else None)
 
 
 def test_simulate_matches_reference_on_catalog_prefixes():
