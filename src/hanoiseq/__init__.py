@@ -11,11 +11,10 @@ from .catalog import (UnknownSequenceError, catalog_lookup, catalog_names,
 from .classicseq import (BAR_PROJECTION, IntSequence, derive_T, derive_U,
                          derive_V, derive_Z, doublefree_exhaustive,
                          doublefree_oracle)
-from .hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError, EmptySourceError,
-                    HanoiState, IllegalMoveError, Trace, UnreachableError,
-                    Variant, VariantViolationError, bar,
-                    bfs_optimal, factor_census, olive_solve, simulate,
-                    squarefree_check, variant_by_name, verify_classical_prefix)
+from .hanoi import (CLASSICAL, CYCLIC, LAZY, Trace, UnreachableError, Variant,
+                    VariantViolationError, bfs_optimal, factor_census,
+                    olive_solve, simulate, squarefree_check, variant_by_name,
+                    verify_classical_prefix)
 from .nonuniform import (Construction, ConstructionError, construct_nonuniform,
                          find_expanding_letter, validation_failures)
 from .toeplitz import HOLE, NonConvergentError, ToeplitzSpec, fill_pass, toeplitz_expand

@@ -54,11 +54,21 @@ class IntSequence:
         return self.values.item(i)
 
 
+_CHUNK = 1 << 16  # values per digit table, so the table and its mask stay small
+
+
 def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
-    """Each value's decimal digits and the separator, concatenated: rows
-    as wide as the largest value, right-aligned, less their leading zeros
-    (by boolean indexing: ``compress`` builds an 8-byte index per cell)."""
+    """Each value's decimal digits and the separator, concatenated; built
+    ``_CHUNK`` values at a time, all in rows as wide as the largest value."""
     width = len(str(values.max())) if values.size else 1
+    chunks = [_chunk_cells(values[start:start + _CHUNK], width, separator)
+              for start in range(0, len(values), _CHUNK)]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
+
+
+def _chunk_cells(values: np.ndarray, width: int, separator: bytes) -> np.ndarray:
+    """The rows right-aligned, less their leading zeros (by boolean
+    indexing: ``compress`` builds an 8-byte index per cell)."""
     table = np.empty((len(values), width + len(separator)), dtype=np.uint8)
     table[:, width:] = np.frombuffer(separator, dtype=np.uint8)
     real = np.ones(table.shape, dtype=bool)

@@ -9,11 +9,12 @@ and always its smallest disk.  One rule decides every move: each peg
 stands on a floor of radius N + 1, and a move is legal exactly when
 the top of its source is smaller than the top of its target.
 
-``simulate`` replays a move word from the standard start (all disks on
-peg I), recording for every sub-tower size the first step at which
-disks 1..n stand together on a peg other than peg I.  An illegal move
-aborts the replay and is embedded in the returned trace; a move outside
-the variant's allowed set raises instead, since the caller picked the
+``simulate`` is the one place that moves disks.  It replays a move word
+from the standard start (all disks on peg I), recording for every
+sub-tower size the first step at which disks 1..n stand together on a
+peg other than peg I, and the final stacks.  An illegal move aborts the
+replay and is embedded in the returned trace; a move outside the
+variant's allowed set raises instead, since the caller picked the
 variant.  A word solves N disks exactly when ``Trace.tower_peg`` is a peg.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,18 +43,6 @@ _CAPPED_PERIOD = 64
 _MOVES_MAX = 1 << 26
 
 
-class IllegalMoveError(ValueError):
-    """A move that the current state does not permit."""
-
-
-class EmptySourceError(IllegalMoveError):
-    """The move's source peg holds no disk."""
-
-
-class DiskOrderError(IllegalMoveError):
-    """The move would place a disk on a smaller one."""
-
-
 class VariantViolationError(ValueError):
     """A move outside the variant's allowed subset."""
 
@@ -62,16 +51,7 @@ class UnreachableError(ValueError):
     """The BFS exhausted the state graph without reaching the target."""
 
 
-def bar(move: str) -> str:
-    """The reverse of a move; an involution exchanging source and target."""
-    if move not in MOVE_PEGS:
-        raise ValueError(f"unknown move {move!r}")
-    return move.swapcase()
-
-
-def peg_index(name: Union[str, int]) -> int:
-    if isinstance(name, int) and 0 <= name < 3:
-        return name
+def peg_index(name: str) -> int:
     try:
         return PEG_NAMES.index(name)
     except ValueError:
@@ -109,92 +89,33 @@ def variant_by_name(name: str) -> Variant:
             f"unknown variant {name!r}; available: {', '.join(sorted(VARIANTS))}") from None
 
 
-@dataclass(frozen=True)
-class HanoiState:
-    """Three pegs, each a bottom-to-top stack of disk radii."""
-
-    pegs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def __post_init__(self):
-        pegs = tuple(tuple(p) for p in self.pegs)
-        object.__setattr__(self, "pegs", pegs)
-        if len(pegs) != 3:
-            raise ValueError("a state has exactly three pegs")
-        seen: set[int] = set()
-        for stack in pegs:
-            for below, above in zip(stack, stack[1:]):
-                if above >= below:
-                    raise ValueError("disks must shrink towards the top of a peg")
-            seen.update(stack)
-        total = sum(len(p) for p in pegs)
-        if len(seen) != total or (seen and seen != set(range(1, total + 1))):
-            raise ValueError("disks must be exactly the radii 1..N, each once")
-
-    @classmethod
-    def initial(cls, disks: int, peg: Union[str, int] = 0) -> "HanoiState":
-        if disks < 0:
-            raise ValueError("disk count must be >= 0")
-        stacks: list[tuple[int, ...]] = [(), (), ()]
-        stacks[peg_index(peg)] = tuple(range(disks, 0, -1))
-        return cls(tuple(stacks))
-
-    @property
-    def disks(self) -> int:
-        return sum(len(p) for p in self.pegs)
-
-    def apply(self, move: str) -> "HanoiState":
-        if move not in MOVE_PEGS:
-            raise ValueError(f"unknown move {move!r}")
-        src, dst = MOVE_PEGS[move]
-        floor = (self.disks + 1,)
-        source, target = floor + self.pegs[src], floor + self.pegs[dst]
-        if not source[-1] < target[-1]:
-            raise _refusal(move, source[-1], target[-1], floor[0])
-        stacks = list(self.pegs)
-        stacks[src] = source[1:-1]
-        stacks[dst] = target[1:] + source[-1:]
-        return HanoiState(tuple(stacks))
-
-
-def _refusal(move: str, disk: int, below: int, floor: int) -> IllegalMoveError:
-    """Error for `move` putting `disk` on `below`; disk == floor: a bare source."""
+def _refusal(move: str, disk: int, below: int, floor: int) -> str:
+    """Why `move` cannot put `disk` on `below`; disk == floor: a bare source."""
     src, dst = MOVE_PEGS[move]
     if disk == floor:
-        return EmptySourceError(f"move {move}: peg {PEG_NAMES[src]} is empty")
-    return DiskOrderError(f"move {move}: disk {disk} cannot cover smaller disk "
-                          f"{below} on peg {PEG_NAMES[dst]}")
+        return f"move {move}: peg {PEG_NAMES[src]} is empty"
+    return (f"move {move}: disk {disk} cannot cover smaller disk "
+            f"{below} on peg {PEG_NAMES[dst]}")
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Replay record: executed moves, completion events, final state.
+    """Replay record: executed moves, completion events, final stacks.
 
     Events are (step, size, peg) triples marking the first step at which
     disks 1..size stand together on the named non-initial peg; steps are
-    1-based.  ``error`` carries the diagnosis of the aborting step, if any;
-    that step is the last of ``moves`` and the only illegal one.
+    1-based.  ``final`` holds pegs I, II and III as tuples of disk radii,
+    each listed bottom to top.  ``error`` carries the diagnosis of the
+    aborting step, if any; that step is the last of ``moves`` and the only
+    illegal one.
     """
 
     disks: int
     variant: Variant
     moves: Word
     events: tuple[tuple[int, int, str], ...]
-    final: HanoiState
+    final: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def initial(self) -> HanoiState:
-        return HanoiState.initial(self.disks)
-
-    @property
-    def legal(self) -> tuple[bool, ...]:
-        """Per executed move, whether it was legal."""
-        refused = 0 if self.ok else 1
-        return (True,) * (len(self.moves) - refused) + (False,) * refused
 
     def event_for(self, size: int) -> Optional[tuple[int, int, str]]:
         for event in self.events:
@@ -207,18 +128,6 @@ class Trace:
         the last replayed move, else None (as after an illegal last move)."""
         event = self.event_for(self.disks)
         return event[2] if event and event[0] == len(self.moves) else None
-
-    def to_json(self) -> dict:
-        return {
-            "disks": self.disks,
-            "variant": self.variant.name,
-            "initial": [list(p) for p in self.initial.pegs],
-            "moves": list(self.moves),
-            "legal": list(self.legal),
-            "events": [list(e) for e in self.events],
-            "final": [list(p) for p in self.final.pegs],
-            "error": self.error,
-        }
 
 
 def simulate(word: Word, disks: int, variant: Variant = CLASSICAL) -> Trace:
@@ -249,7 +158,7 @@ def simulate(word: Word, disks: int, variant: Variant = CLASSICAL) -> Trace:
             while len(target) > done + 1 and target[-done - 1] == done + 1:
                 done += 1
                 events.append((step, done, PEG_NAMES[dst]))
-    final = HanoiState(tuple(tuple(p[1:]) for p in pegs))
+    final = tuple(tuple(p[1:]) for p in pegs)
     return Trace(disks, variant, word[:step], tuple(events), final, error)
 
 
@@ -297,8 +206,7 @@ def verify_classical_prefix(disks: int) -> bool:
 
 
 def bfs_optimal(variant: Variant, disks: int,
-                source: Union[str, int] = "I",
-                target: Union[str, int] = "II") -> tuple[int, Word]:
+                source: str = "I", target: str = "II") -> tuple[int, Word]:
     """Minimal move count under the variant plus one witness word.
 
     Breadth-first search over the 3^N disk-position states; ties are
@@ -349,7 +257,7 @@ def bfs_optimal(variant: Variant, disks: int,
     return len(path), Word.from_tokens(HANOI_ALPHABET, path)
 
 
-def olive_solve(disks: int, target: Union[str, int]) -> Word:
+def olive_solve(disks: int, target: str) -> Word:
     """Alternating solution: odd steps cycle the smallest disk, even steps
     make the only legal move that leaves it alone.
 

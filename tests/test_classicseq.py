@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,26 @@ class TestIntSequence:
         s = IntSequence((1, 2, 3))
         assert s.text() == "1 2 3"
         assert s.json_text() == "[1, 2, 3]"
+
+    def test_text_and_json_across_a_chunk_boundary(self):
+        # the digit table is built 2^16 values at a time; the widest and the
+        # narrowest value on both sides of the first boundary
+        big = 2 ** 63 - 1
+        values = list(range(2 ** 16 + 3))
+        values[2 ** 16 - 2:2 ** 16 + 2] = [0, big, big, 0]
+        s = IntSequence(values)
+        assert s.text() == " ".join(map(str, values))
+        assert s.json_text() == json.dumps(values)
+
+    def test_text_peaks_below_three_times_its_output(self):
+        u = derive_U(catalog_prefix("classical-hanoi", 1 << 20))
+        tracemalloc.start()
+        try:
+            text = u.text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     def test_values_are_one_read_only_int64_array(self):
         values = derive_U(catalog_prefix("classical-hanoi", 64)).values

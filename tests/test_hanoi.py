@@ -3,10 +3,9 @@ import random
 import pytest
 
 from hanoiseq.catalog import HANOI_ALPHABET, catalog_prefix
-from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, DiskOrderError,
-                            EmptySourceError, HanoiState, MOVE_ORDER,
-                            UnreachableError, Variant, VariantViolationError,
-                            bar, bfs_optimal, factor_census,
+from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, MOVE_ORDER, MOVE_PEGS,
+                            PEG_NAMES, UnreachableError, Variant,
+                            VariantViolationError, bfs_optimal, factor_census,
                             olive_solve, simulate, squarefree_check,
                             variant_by_name, verify_classical_prefix)
 from hanoiseq.words import Word
@@ -16,56 +15,25 @@ EIGHT_QUADRUPLES = {"a b a B", "a b A B", "a B A b", "a B A B",
                     "A b a b", "A B a b", "A B A b", "A B A B"}
 
 
-class TestApplyMove:
-    def test_simple_transfer(self):
-        state = HanoiState(((2, 1), (), ()))
-        assert state.apply("a").pegs == ((2,), (1,), ())
-
-    def test_larger_onto_smaller(self):
-        state = HanoiState(((2,), (1,), ()))
-        with pytest.raises(DiskOrderError):
-            state.apply("a")
-
-    def test_empty_source(self):
-        state = HanoiState(((), (1,), ()))
-        with pytest.raises(EmptySourceError):
-            state.apply("a")
-
-    def test_bar_is_involution(self):
-        for move in MOVE_ORDER:
-            assert bar(bar(move)) == move
-
-    def test_bar_undoes_a_legal_move(self):
-        rng = random.Random(10)
-        for _ in range(200):
-            pegs = [[], [], []]
-            for disk in range(rng.randrange(1, 6), 0, -1):
-                pegs[rng.randrange(3)].append(disk)
-            state = HanoiState(tuple(tuple(p) for p in pegs))
-            move = rng.choice(MOVE_ORDER)
-            try:
-                moved = state.apply(move)
-            except (EmptySourceError, DiskOrderError):
-                continue
-            assert moved.apply(bar(move)) == state
-
-    def test_state_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            HanoiState(((1, 2), (), ()))  # growing upward
-        with pytest.raises(ValueError):
-            HanoiState(((1,), (1,), ()))  # duplicate disk
+def tower(disks, peg="I"):
+    """Three bottom-to-top stacks with every disk on the named peg."""
+    stacks = [(), (), ()]
+    stacks[PEG_NAMES.index(peg)] = tuple(range(disks, 0, -1))
+    return tuple(stacks)
 
 
 class TestSimulate:
     def test_three_disk_events(self):
         trace = simulate(catalog_prefix("classical-hanoi", 7), 3, CLASSICAL)
-        assert trace.ok
+        assert trace.error is None
         assert trace.events == ((1, 1, "II"), (3, 2, "III"), (7, 3, "II"))
+        assert trace.final == tower(3, "II")
 
     def test_empty_word(self):
         trace = simulate(Word(HANOI_ALPHABET), 4, CLASSICAL)
-        assert trace.ok
+        assert trace.error is None
         assert trace.events == ()
+        assert trace.final == tower(4)
 
     def test_variant_violation(self):
         with pytest.raises(VariantViolationError):
@@ -73,17 +41,10 @@ class TestSimulate:
 
     def test_illegal_move_embedded(self):
         trace = simulate(catalog_prefix("classical-hanoi", 3), 1, CLASSICAL)
-        assert not trace.ok
-        assert trace.legal == (True, False)
-        assert "step 2" in trace.error
+        assert trace.moves.text() == "a C"
+        assert trace.error == "step 2, move C: peg I is empty"
+        assert trace.final == ((), (1,), ())
         assert trace.event_for(1) == (1, 1, "II")
-
-    def test_json_export(self):
-        trace = simulate(Word.from_tokens(HANOI_ALPHABET, "a C b"), 2, CLASSICAL)
-        data = trace.to_json()
-        assert data["moves"] == ["a", "C", "b"]
-        assert data["events"] == [[1, 1, "II"], [3, 2, "III"]]
-        assert data["error"] is None
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
@@ -103,10 +64,17 @@ class TestClassicalPrefix:
             assert long[:2 ** k - 1] == catalog_prefix("classical-hanoi", 2 ** k - 1)
 
 
+def is_legal(pegs, move):
+    # the definition: a disk to move, and nothing smaller where it lands
+    src, dst = MOVE_PEGS[move]
+    return bool(pegs[src]) and (not pegs[dst] or pegs[src][-1] < pegs[dst][-1])
+
+
 def _depth_limited_search(variant, disks, target_peg, limit):
-    # independent optimality oracle: plain iterative deepening over states
-    start = HanoiState.initial(disks)
-    goal = HanoiState.initial(disks, target_peg)
+    # independent optimality oracle: plain iterative deepening over states,
+    # each a tuple of three bottom-to-top stacks
+    start = tower(disks)
+    goal = tower(disks, target_peg)
     moves = [m for m in MOVE_ORDER if m in variant.moves]
 
     def dfs(state, depth, visited):
@@ -115,10 +83,12 @@ def _depth_limited_search(variant, disks, target_peg, limit):
         if depth == 0:
             return False
         for move in moves:
-            try:
-                nxt = state.apply(move)
-            except (EmptySourceError, DiskOrderError):
+            if not is_legal(state, move):
                 continue
+            src, dst = MOVE_PEGS[move]
+            pegs = list(state)
+            pegs[src], pegs[dst] = state[src][:-1], state[dst] + state[src][-1:]
+            nxt = tuple(pegs)
             if visited.get(nxt, -1) >= depth - 1:
                 continue
             visited[nxt] = depth - 1
@@ -139,8 +109,8 @@ class TestBfsOptimal:
         length, word = bfs_optimal(CLASSICAL, disks, "I", target)
         assert length == 2 ** disks - 1
         trace = simulate(word, disks, CLASSICAL)
-        assert trace.ok
-        assert trace.final == HanoiState.initial(disks, target)
+        assert trace.error is None
+        assert trace.final == tower(disks, target)
 
     def test_zero_disks(self):
         assert bfs_optimal(CLASSICAL, 0, "I", "II") == (0, Word(catalog_prefix("classical-hanoi", 1).alphabet))
@@ -180,8 +150,8 @@ class TestOlive:
         word = olive_solve(2, "III")
         assert len(word) == 3
         trace = simulate(word, 2, CLASSICAL)
-        assert trace.ok
-        assert trace.final == HanoiState.initial(2, "III")
+        assert trace.error is None
+        assert trace.final == tower(2, "III")
 
     def test_three_disks_matches_classical_prefix(self):
         assert olive_solve(3, "II") == catalog_prefix("classical-hanoi", 7)
@@ -198,8 +168,8 @@ class TestOlive:
         word = olive_solve(disks, target)
         assert len(word) == bfs_optimal(CLASSICAL, disks, "I", target)[0]
         trace = simulate(word, disks, CLASSICAL)
-        assert trace.ok
-        assert trace.final == HanoiState.initial(disks, target)
+        assert trace.error is None
+        assert trace.final == tower(disks, target)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ import pytest
 
 import hanoiseq
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 # names the benchmark tracer still lists whose code is gone
 STALE = {"words.Coding.apply", "nonuniform.validate_construction"}
 MODULES = sorted(p for p in Path(hanoiseq.__file__).parent.glob("*.py")
@@ -110,3 +112,28 @@ def test_the_benchmark_traces_names_that_exist():
     # the stale names are still listed and still gone, so this list is current
     assert STALE <= names
     assert sorted(n for n in STALE if resolves(n)) == []
+
+
+def module_attributes(source: str) -> set[str]:
+    """"module.name" for every attribute the source reads on a module it
+    imports with ``from hanoiseq import ...``."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "hanoiseq"
+               for alias in node.names}
+    return {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_the_benchmark_workloads_read_names_that_exist():
+    # a deleted name would fail every benchmark operation that calls it
+    names = module_attributes(WORKLOADS.read_text())
+    assert {"automaton.dfao_from_uniform_morphism",
+            "hanoi.verify_classical_prefix"} <= names
+    missing = []
+    for name in sorted(names):
+        module, _, attr = name.partition(".")
+        if not hasattr(importlib.import_module(f"hanoiseq.{module}"), attr):
+            missing.append(name)
+    assert missing == []
