@@ -22,6 +22,65 @@ def tower(disks, peg="I"):
     return tuple(stacks)
 
 
+def moves(tokens):
+    return Word.from_tokens(HANOI_ALPHABET, tokens)
+
+
+def reversed_walk(tokens):
+    """The walk back: the moves in reverse order, each with its pegs swapped."""
+    return [move.swapcase() for move in reversed(tokens)]
+
+
+class TestApplyMove:
+    # the one move rule, as simulate applies it from the standard start
+    def test_simple_transfer(self):
+        trace = simulate(moves("a"), 2, CLASSICAL)
+        assert trace.error is None
+        assert trace.final == ((2,), (1,), ())
+
+    def test_larger_onto_smaller(self):
+        trace = simulate(moves("a a"), 2, CLASSICAL)
+        assert trace.error == "step 2, move a: disk 2 cannot cover smaller disk 1 on peg II"
+        assert trace.final == ((2,), (1,), ())  # the refused move leaves the stacks
+
+    def test_empty_source(self):
+        trace = simulate(moves("A"), 1, CLASSICAL)
+        assert trace.error == "step 1, move A: peg II is empty"
+        assert trace.final == tower(1)
+
+    def test_zero_disks_refuse_every_move(self):
+        for move in MOVE_ORDER:
+            trace = simulate(moves(move), 0, CLASSICAL)
+            source = PEG_NAMES[MOVE_PEGS[move][0]]
+            assert trace.error == f"step 1, move {move}: peg {source} is empty"
+            assert trace.final == ((), (), ())
+
+    def test_swapped_case_is_the_reversed_move(self):
+        for move in MOVE_ORDER:
+            src, dst = MOVE_PEGS[move]
+            assert MOVE_PEGS[move.swapcase()] == (dst, src)
+
+    def test_reversed_walk_undoes_a_legal_walk(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            disks = rng.randrange(1, 6)
+            walk = list(olive_solve(disks, rng.choice(("II", "III"))).tokens())
+            walk = walk[:rng.randrange(len(walk) + 1)]
+            trace = simulate(moves(walk + reversed_walk(walk)), disks, CLASSICAL)
+            assert trace.error is None
+            assert trace.final == tower(disks)
+
+    def test_final_stacks_keep_every_disk_in_order(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            disks = rng.randrange(0, 6)
+            walk = [rng.choice(MOVE_ORDER) for _ in range(rng.randrange(0, 40))]
+            final = simulate(moves(walk), disks, CLASSICAL).final
+            assert sorted(d for stack in final for d in stack) == list(range(1, disks + 1))
+            for stack in final:
+                assert list(stack) == sorted(stack, reverse=True)
+
+
 class TestSimulate:
     def test_three_disk_events(self):
         trace = simulate(catalog_prefix("classical-hanoi", 7), 3, CLASSICAL)
@@ -45,6 +104,14 @@ class TestSimulate:
         assert trace.error == "step 2, move C: peg I is empty"
         assert trace.final == ((), (1,), ())
         assert trace.event_for(1) == (1, 1, "II")
+
+    def test_trace_fields(self):
+        trace = simulate(moves("a C b"), 2, CLASSICAL)
+        assert trace.moves.tokens() == ("a", "C", "b")
+        assert trace.events == ((1, 1, "II"), (3, 2, "III"))
+        assert trace.final == ((), (), (2, 1))
+        assert trace.error is None
+        assert trace.tower_peg() == "III"
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):

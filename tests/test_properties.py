@@ -442,6 +442,30 @@ def test_simulate_matches_reference_on_catalog_prefixes():
                 reference_replay(word.tokens(), disks, variant), (name, disks)
 
 
+@PROPERTY
+@given(st.lists(st.sampled_from(hanoi.MOVE_ORDER), max_size=40), st.integers(0, 6),
+       st.sampled_from(hanoi.MOVE_ORDER))
+def test_apply_accepts_exactly_a_smaller_disk_onto_a_larger(walk, disks, move):
+    # the legal moves of the drawn walk reach some stacks; then one more move
+    pegs = [list(range(disks, 0, -1)), [], []]
+    tokens = []
+    for step in walk:
+        if is_legal(pegs, step):
+            src, dst = hanoi.MOVE_PEGS[step]
+            pegs[dst].append(pegs[src].pop())
+            tokens.append(step)
+    trace = hanoi.simulate(Word.from_tokens(HANOI_ALPHABET, tokens + [move]), disks)
+    src, dst = hanoi.MOVE_PEGS[move]
+    if is_legal(pegs, move):
+        pegs[dst].append(pegs[src].pop())
+        assert trace.error is None
+    else:
+        refusal = "cannot cover smaller disk" if pegs[src] else "is empty"
+        assert trace.error.startswith(f"step {len(tokens) + 1}, move {move}: ")
+        assert refusal in trace.error
+    assert trace.final == tuple(tuple(p) for p in pegs)
+
+
 def _exact_product(a, b, order, q):
     out = [0] * order
     for i, x in enumerate(a[:order]):
