@@ -16,6 +16,10 @@ peg other than peg I, and the final stacks.  An illegal move aborts the
 replay and is embedded in the returned trace; a move outside the
 variant's allowed set raises instead, since the caller picked the
 variant.  A word solves N disks exactly when ``Trace.tower_peg`` is a peg.
+
+The alternating solver moves none either: the walk of its rule is the
+catalog's self-filling pattern ``a C b . c B a . b A c .`` (see
+``olive_solve``), with the pegs II and III exchanged for the other target.
 """
 
 from __future__ import annotations
@@ -28,13 +32,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import HANOI_ALPHABET, catalog_lookup
-from .words import Word
+from .words import Morphism, Word
 
-MOVE_ORDER = ("a", "b", "c", "A", "B", "C")
+MOVE_ORDER = HANOI_ALPHABET.symbols
 MOVE_PEGS = {"a": (0, 1), "b": (1, 2), "c": (2, 0),
              "A": (1, 0), "B": (2, 1), "C": (0, 2)}
 _PEG_MOVE = {pegs: move for move, pegs in MOVE_PEGS.items()}
 PEG_NAMES = ("I", "II", "III")
+# every move with pegs II and III exchanged (peg p to -p mod 3): a<->C, b<->B, c<->A
+_MIRROR = Morphism.from_rules(HANOI_ALPHABET, {
+    move: _PEG_MOVE[-src % 3, -dst % 3] for move, (src, dst) in MOVE_PEGS.items()})
 
 # budgets: squarefree_check scans (see there) and solution moves (solution_length)
 _FULL_SCAN_MAX = 10_000
@@ -261,32 +268,19 @@ def olive_solve(disks: int, target: str) -> Word:
     """Alternating solution: odd steps cycle the smallest disk, even steps
     make the only legal move that leaves it alone.
 
-    The smallest disk circulates I->II->III->I when the tower should land
-    on II with N odd or on III with N even, and the other way round
-    otherwise; this choice reproduces the classical sequence prefixes.
+    Toward the classical target (II for N odd, III for N even) the walk is
+    the prefix of ``classical-hanoi-toeplitz``, ``a C b . c B a . b A c .``
+    self-filled: the even cells ``a b c`` cycle disk 1 I->II->III->I,
+    cells 1, 5 and 9 (``C B A``) move disk 2 the other way round, and the
+    holes repeat the word for disks >= 3, which move as a tower of N - 2
+    disks, to the same peg by parity.  Toward the other peg disk 1 cycles
+    backwards: the same walk with pegs II and III exchanged.
     """
     steps = solution_length(CLASSICAL, disks)
-    dst = peg_index(target)
-    if dst == 0:
+    if peg_index(target) == 0:
         raise ValueError("target must be II or III")
-    step_dir = 1 if PEG_NAMES[dst] == classical_target(disks) else -1
-    floor = disks + 1
-    pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
-    home = 0
-    out: list[str] = []
-    for step in range(1, steps + 1):
-        if step % 2:
-            nxt = (home + step_dir) % 3
-            out.append(_PEG_MOVE[(home, nxt)])
-            pegs[nxt].append(pegs[home].pop())
-            home = nxt
-        else:
-            # the optimal walk passes no whole tower: never two bare pegs here
-            i, j = (home + 1) % 3, (home + 2) % 3
-            a, b = (i, j) if pegs[i][-1] < pegs[j][-1] else (j, i)
-            out.append(_PEG_MOVE[(a, b)])
-            pegs[b].append(pegs[a].pop())
-    return Word.from_tokens(HANOI_ALPHABET, out)
+    word = catalog_lookup("classical-hanoi-toeplitz").prefix(steps)
+    return word if target == classical_target(disks) else _MIRROR.apply(word)
 
 
 def factor_census(word: Word, width: int, aligned: bool = False) -> set[Word]:

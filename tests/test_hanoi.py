@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -241,6 +242,19 @@ class TestOlive:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             olive_solve(2, "I")
+
+    @pytest.mark.parametrize("target", ("II", "III"))
+    def test_twenty_disks_peak_below_16_mib(self, target):
+        # 2^20 - 1 one-byte moves: the prefix, and for II its mirror with
+        # the coding's 8-byte gather index (about 10 MiB in all)
+        tracemalloc.start()
+        try:
+            word = olive_solve(20, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 2 ** 20 - 1
+        assert peak < 16 * 2 ** 20
 
 
 class TestVariantSequences:

@@ -466,6 +466,36 @@ def test_apply_accepts_exactly_a_smaller_disk_onto_a_larger(walk, disks, move):
     assert trace.final == tuple(tuple(p) for p in pegs)
 
 
+def reference_olive(disks, target):
+    """The alternating rule as a walk on three stacks: odd steps move the
+    smallest disk one peg on, forward (I->II->III) when the target is II
+    for N odd or III for N even, backward otherwise; even steps make the
+    only legal move that leaves it alone."""
+    step_dir = 1 if target == ("II" if disks % 2 else "III") else -1
+    floor = disks + 1
+    pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
+    home = 0
+    move_of = {p: m for m, p in hanoi.MOVE_PEGS.items()}
+    out = []
+    for step in range(1, 2 ** disks):
+        if step % 2:
+            src, dst = home, (home + step_dir) % 3
+            home = dst
+        else:
+            # the optimal walk passes no whole tower: never two bare pegs here
+            i, j = (home + 1) % 3, (home + 2) % 3
+            src, dst = (i, j) if pegs[i][-1] < pegs[j][-1] else (j, i)
+        pegs[dst].append(pegs[src].pop())
+        out.append(move_of[src, dst])
+    return out
+
+
+@pytest.mark.parametrize("disks", range(1, 15))
+@pytest.mark.parametrize("target", ("II", "III"))
+def test_olive_solve_is_the_reference_alternating_walk(disks, target):
+    assert list(hanoi.olive_solve(disks, target).tokens()) == reference_olive(disks, target)
+
+
 def _exact_product(a, b, order, q):
     out = [0] * order
     for i, x in enumerate(a[:order]):

@@ -11,6 +11,7 @@ import hanoiseq
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
+MAKE_REFERENCE = BENCH / "make_reference.py"
 # names the benchmark tracer still lists whose code is gone
 STALE = {"words.Coding.apply", "nonuniform.validate_construction"}
 MODULES = sorted(p for p in Path(hanoiseq.__file__).parent.glob("*.py")
@@ -126,14 +127,27 @@ def module_attributes(source: str) -> set[str]:
             and node.value.id in modules}
 
 
-def test_the_benchmark_workloads_read_names_that_exist():
-    # a deleted name would fail every benchmark operation that calls it
-    names = module_attributes(WORKLOADS.read_text())
-    assert {"automaton.dfao_from_uniform_morphism",
-            "hanoi.verify_classical_prefix"} <= names
+def missing_attributes(names: set[str]) -> list[str]:
+    """The "module.name" entries that hanoiseq.module does not define."""
     missing = []
     for name in sorted(names):
         module, _, attr = name.partition(".")
         if not hasattr(importlib.import_module(f"hanoiseq.{module}"), attr):
             missing.append(name)
-    assert missing == []
+    return missing
+
+
+def test_the_benchmark_workloads_read_names_that_exist():
+    # a deleted name would fail every benchmark operation that calls it
+    names = module_attributes(WORKLOADS.read_text())
+    assert {"automaton.dfao_from_uniform_morphism",
+            "hanoi.verify_classical_prefix"} <= names
+    assert missing_attributes(names) == []
+
+
+def test_the_benchmark_reference_script_reads_names_that_exist():
+    # a deleted name would stop the reference from being rebuilt
+    names = module_attributes(MAKE_REFERENCE.read_text())
+    assert {"hanoi.simulate", "hanoi.factor_census", "hanoi.CYCLIC",
+            "catalog.catalog_prefix"} <= names
+    assert missing_attributes(names) == []
