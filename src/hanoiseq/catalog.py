@@ -2,8 +2,8 @@
 
 Every entry is either a MorphicSpec or, for sequences built through a
 hole-filling pattern, a ToeplitzSpec; both expose ``prefix(length)``.
-Erasing morphisms are rejected at registration time, and every morphic
-entry is validated for prolongability when it is constructed.
+Every morphic entry is checked for prolongability when it is
+constructed, and MorphicSpec refuses erasing morphisms there.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _CATALOG: dict[str, CatalogEntry] = {}
 def _register(name: str, entry: CatalogEntry) -> None:
     if name in _CATALOG:
         raise ValueError(f"duplicate catalog key {name!r}")
-    if isinstance(entry, MorphicSpec) and entry.morphism.is_erasing:
-        raise ValueError(f"{name}: erasing morphisms are not supported")
     _CATALOG[name] = entry
 
 

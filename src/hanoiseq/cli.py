@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -45,17 +44,14 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _json_line(payload: dict) -> str:
-    """The payload as json.dumps(payload, sort_keys=True) writes it.  Words
-    and integer sequences come from their array renderers, each run of
-    other values from one encoder call; one join copies a long array once."""
+    """The payload as json.dumps(payload, sort_keys=True) writes it: one
+    encoder call per value, but words and integer sequences come from their
+    array renderers; one join copies a long array once."""
     parts = []
-    for arrays, items in itertools.groupby(
-            sorted(payload.items()), lambda item: isinstance(item[1], (Word, IntSequence))):
-        if arrays:
-            for key, value in items:
-                parts += (", ", _JSON.encode(key), ": ", value.json_text())
-        else:
-            parts += (", ", _JSON.encode(dict(items))[1:-1])
+    for key, value in sorted(payload.items()):
+        parts += (", ", _JSON.encode(key), ": ",
+                  value.json_text() if isinstance(value, (Word, IntSequence))
+                  else _JSON.encode(value))
     return "".join(["{", *parts[1:], "}"])
 
 

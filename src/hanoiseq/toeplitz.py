@@ -10,7 +10,9 @@ hole of the periodic stream carries the value of position j of the
 limit, and j is always strictly smaller than the hole's own position, so
 the holes of a length-n prefix are filled, in one assignment to the hole
 columns of the period-by-period table, by the shorter prefix holding as
-many symbols as there are holes.
+many symbols as there are holes.  The levels' cells are counted before
+any is filled, and a prefix that would fill more than 2^28 of them is
+refused: their number grows with the share of holes in the pattern.
 ``fill_pass`` performs a single filling step on a finite prefix, holes
 included, for inspecting the intermediate stages of the construction.
 """
@@ -25,6 +27,8 @@ import numpy as np
 from .words import Alphabet, DomainError, TokenSeq, Word, _tokens
 
 HOLE = "."
+# cells one expansion may fill, rows x period summed over its levels: about 1 s
+_FILL_CELLS_MAX = 1 << 28
 
 
 class NonConvergentError(ValueError):
@@ -86,8 +90,13 @@ def toeplitz_expand(spec: ToeplitzSpec, length: int) -> Word:
     # the holes of a length-n prefix take the first holes(n) < n symbols
     # of the limit, so the prefix lengths shrink level by level down to 0
     lengths = [length]
+    work = 0
     while lengths[-1]:
         n = lengths[-1]
+        work += -(-n // period) * period
+        if work > _FILL_CELLS_MAX:
+            raise ValueError(f"toeplitz budget exceeded: a length-{length} prefix of this "
+                             f"{period}-token pattern fills more than {_FILL_CELLS_MAX} cells")
         lengths.append(int((n // period) * holes_before[period] + holes_before[n % period]))
     out = np.empty(0, dtype=alphabet.dtype)
     for n in reversed(lengths[:-1]):

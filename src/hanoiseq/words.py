@@ -11,12 +11,12 @@ codomain alphabet and extends to words by concatenating the images.  A
 coding is the symbol-to-symbol case: a morphism whose images are single
 letters, that is, a 1-uniform morphism.
 
-A morphism whose image of a chosen start symbol begins with that symbol
-(and whose remainder never dies out under iteration) has a unique
-infinite fixed point starting there.  MorphicSpec bundles the morphism,
-the start symbol and an optional output coding; its ``prefix`` method
-materializes finite prefixes of the (coded) fixed point level by level.
-Each level expands, in one whole-array gather, only the letters the
+A non-erasing morphism (no image is empty) whose image of a chosen start
+symbol is that symbol followed by at least one more is prolongable there,
+and has a unique infinite fixed point starting with it.  MorphicSpec
+bundles the morphism, the start symbol and an optional output coding;
+its ``prefix`` method materializes finite prefixes of the (coded) fixed
+point level by level.  Each level expands, in one whole-array gather, only the letters the
 previous level added, and the last level only the letters the requested
 length needs.
 """
@@ -306,31 +306,15 @@ class Morphism:
         return result
 
 
-def _mortal_letters(m: Morphism) -> frozenset[int]:
-    # letters whose iterated image eventually becomes the empty word
-    images = [img.indices.tolist() for img in m.images]
-    mortal = {i for i, img in enumerate(images) if not img}
-    changed = True
-    while changed:
-        changed = False
-        for i, img in enumerate(images):
-            if i not in mortal and img and all(j in mortal for j in img):
-                mortal.add(i)
-                changed = True
-    return frozenset(mortal)
-
-
 def is_prolongable(m: Morphism, start: str) -> bool:
-    """True when m(start) begins with start and its tail keeps producing
-    symbols under iteration (so the iterative fixed point exists)."""
+    """True when m is non-erasing and m(start) is start followed by at
+    least one more symbol, so that the iterates of start grow without end
+    and converge to an infinite fixed point."""
     if m.domain != m.codomain:
         raise DomainError("prolongability needs domain == codomain")
     i0 = m.domain.index(start)
     img = m.images[i0].indices.tolist()
-    if len(img) < 2 or img[0] != i0:
-        return False
-    mortal = _mortal_letters(m)
-    return any(i not in mortal for i in img[1:])
+    return not m.is_erasing and len(img) >= 2 and img[0] == i0
 
 
 @dataclass(frozen=True)
@@ -340,7 +324,8 @@ class MorphicSpec:
     Without a coding the spec denotes the pure fixed point of the
     morphism; with one, a 1-uniform morphism on the same alphabet, it
     denotes the symbol-wise image of that fixed point.  Construction
-    fails unless the morphism is prolongable at the start symbol.
+    fails unless the morphism is prolongable at the start symbol, so this
+    is the one place that refuses an erasing morphism.
     """
 
     morphism: Morphism
@@ -352,7 +337,8 @@ class MorphicSpec:
             raise DomainError("fixed points need an endomorphism")
         if not is_prolongable(self.morphism, self.start):
             raise ProlongabilityError(
-                f"image of {self.start!r} must begin with it and keep growing under iteration")
+                f"image of {self.start!r} must begin with it and have another symbol, "
+                "and no image may be empty")
         if self.coding is not None:
             if self.coding.domain != self.morphism.domain:
                 raise DomainError("coding domain must match the morphism alphabet")

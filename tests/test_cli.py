@@ -275,6 +275,17 @@ class TestToeplitz:
         assert run(["toeplitz", "--pattern", pattern, "--length", "8"]) == 2
         assert out_of(capsys) == ("", f"error: {refusal}\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_many_holes_are_refused_by_the_fill_budget(self, fmt, capsys):
+        # 10^6 symbols of a 10^4-token pattern would fill about 10^10 cells
+        start = time.perf_counter()
+        assert run(["toeplitz", "--pattern", "a" + " ." * 9999, "--length", "1000000",
+                    "--format", fmt]) == 2
+        assert time.perf_counter() - start < 1
+        assert out_of(capsys) == (
+            "", "error: toeplitz budget exceeded: a length-1000000 prefix of this "
+                "10000-token pattern fills more than 268435456 cells\n")
+
 
 class TestOracles:
     def test_census(self, capsys):

@@ -153,6 +153,13 @@ USAGE_ERRORS = [
      'error: the alternating solver applies to the classical variant only\n'),
     ('hanoi solve --variant cyclic --disks 3 --olive --format json', 2,
      'error: the alternating solver applies to the classical variant only\n'),
+    # a 32-token pattern at the length cap fills about 2^29 cells
+    ('toeplitz --pattern "a' + ' .' * 31 + '" --length 16777216', 2,
+     'error: toeplitz budget exceeded: a length-16777216 prefix of this 32-token '
+     'pattern fills more than 268435456 cells\n'),
+    ('toeplitz --pattern "a' + ' .' * 31 + '" --length 16777216 --format json', 2,
+     'error: toeplitz budget exceeded: a length-16777216 prefix of this 32-token '
+     'pattern fills more than 268435456 cells\n'),
 ]
 
 EMPTY = hashlib.sha256(b"").hexdigest()

@@ -18,8 +18,8 @@ from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (Construction, ConstructionError, construct_nonuniform,
                                  find_expanding_letter, validation_failures)
 from hanoiseq.toeplitz import HOLE, ToeplitzSpec, fill_pass, toeplitz_expand
-from hanoiseq.words import (Alphabet, Morphism, MorphicSpec, Word, spec_from_json,
-                            spec_to_json)
+from hanoiseq.words import (Alphabet, Morphism, MorphicSpec, ProlongabilityError, Word,
+                            is_prolongable, spec_from_json, spec_to_json)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -131,6 +131,40 @@ def test_coding_images_must_be_single_letters(data):
     as_json["coding"] = {s: " ".join(["1"] * k) for s, k in zip(domain.symbols, lengths)}
     with pytest.raises(ValueError):
         spec_from_json(as_json)
+
+
+def reference_prolongable(images, start) -> bool:
+    """Non-erasing, the start's image begins with it, and the iterates of
+    the start still grow after as many steps as there are letters (lengths
+    counted letter by letter, no word built)."""
+    if any(not img for img in images) or images[start][:1] != [start]:
+        return False
+    counts = [int(i == start) for i in range(len(images))]
+    sizes = []
+    for _ in range(len(images) + 1):
+        counts = [sum(counts[i] * img.count(j) for i, img in enumerate(images))
+                  for j in range(len(images))]
+        sizes.append(sum(counts))
+    return sizes[-1] > sizes[-2]
+
+
+@PROPERTY
+@given(st.data())
+def test_prolongable_is_the_reference_on_morphisms_that_may_erase(data):
+    size = data.draw(st.integers(1, 5))
+    start = data.draw(st.integers(0, size - 1))
+    images = [data.draw(st.lists(st.integers(0, size - 1), max_size=3)) for _ in range(size)]
+    if data.draw(st.booleans()):
+        images[start] = [start] + images[start]
+    alphabet = alphabet_of(size)
+    morphism = Morphism(alphabet, alphabet, tuple(Word(alphabet, img) for img in images))
+    expected = reference_prolongable(images, start)
+    assert is_prolongable(morphism, f"s{start}") == expected
+    if expected:
+        MorphicSpec(morphism, f"s{start}")
+    else:
+        with pytest.raises(ProlongabilityError):
+            MorphicSpec(morphism, f"s{start}")
 
 
 @PROPERTY

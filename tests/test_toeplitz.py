@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
@@ -67,3 +68,35 @@ def test_pattern_symbol_outside_alphabet():
 
 def test_length_zero():
     assert len(toeplitz_expand(PAPERFOLDING, 0)) == 0
+
+
+class Filled(Exception):
+    """Raised in place of np.tile: a level of the expansion was filled."""
+
+
+def _no_filling(*args, **kwargs):
+    raise Filled
+
+
+def test_fill_budget_refuses_before_any_level_is_filled(monkeypatch):
+    monkeypatch.setattr(np, "tile", _no_filling)
+    spec = ToeplitzSpec.from_tokens("a" + " ." * 9999)
+    with pytest.raises(ValueError, match=r"^toeplitz budget exceeded: a length-1000000 "
+                                         r"prefix of this 10000-token pattern fills more "
+                                         r"than 268435456 cells$"):
+        toeplitz_expand(spec, 10 ** 6)
+
+
+@pytest.mark.parametrize("pattern,length", [
+    ("0 . 1 .", 2 ** 24),
+    ("a C b . c B a . b A c .", 2 ** 24),
+    # the alternating Hanoi solution for 26 disks, the longest that is solved
+    ("a C b . c B a . b A c .", 2 ** 26 - 1),
+    ("a . .", 2 ** 24),
+])
+def test_fill_budget_admits_the_catalog_patterns_at_their_caps(pattern, length,
+                                                               monkeypatch):
+    # admitted means that the first level gets filled
+    monkeypatch.setattr(np, "tile", _no_filling)
+    with pytest.raises(Filled):
+        toeplitz_expand(ToeplitzSpec.from_tokens(pattern), length)

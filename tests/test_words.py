@@ -132,6 +132,14 @@ class TestProlongability:
         with pytest.raises(ProlongabilityError):
             MorphicSpec(dying, "a")
 
+    def test_growing_erasing_morphism_is_refused(self):
+        # a -> a b c grows for ever, but c is erased: no image may be empty
+        abc = Alphabet(("a", "b", "c"))
+        erasing = Morphism.from_rules(abc, {"a": "a b c", "b": "b", "c": ""})
+        assert not is_prolongable(erasing, "a")
+        with pytest.raises(ProlongabilityError, match="no image may be empty"):
+            MorphicSpec(erasing, "a")
+
     def test_non_endomorphism_rejected(self):
         coding_like = Morphism.from_rules(HANOI_ALPHABET,
                                           {s: "0" for s in HANOI_ALPHABET.symbols},
