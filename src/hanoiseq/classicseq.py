@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BINARY_ALPHABET, HANOI_ALPHABET
-from .words import DomainError, Morphism, Word, _json_array, _text_line
+from .words import _CHUNK, DomainError, Morphism, Word, _json_array, _text_line
 
 BAR_PROJECTION = Morphism.from_rules(
     HANOI_ALPHABET,
@@ -54,12 +54,10 @@ class IntSequence:
         return self.values.item(i)
 
 
-_CHUNK = 1 << 16  # values per digit table, so the table and its mask stay small
-
-
 def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
     """Each value's decimal digits and the separator, concatenated; built
-    ``_CHUNK`` values at a time, all in rows as wide as the largest value."""
+    ``_CHUNK`` values at a time, so each digit table and its mask stay
+    small, all in rows as wide as the largest value."""
     width = len(str(values.max())) if values.size else 1
     chunks = [_chunk_cells(values[start:start + _CHUNK], width, separator)
               for start in range(0, len(values), _CHUNK)]

