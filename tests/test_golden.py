@@ -8,6 +8,8 @@ the exit-1 paths and the usage errors of ``USAGE_ERRORS`` were recorded
 before the commands were made to return their result to a single renderer.
 ``PARSING_SURFACE`` (help texts, usage errors and the argparse edge cases)
 was recorded while every request still built the parser of all commands.
+The ``hanoi solve`` and ``hanoi verify`` rows at 1, 2, 7 and 16 disks were
+recorded before ``simulate`` resolved each move letter once per replay.
 Update an entry only for a deliberate change of output.
 """
 
@@ -137,6 +139,32 @@ GOLDEN = [
     ('toeplitz --pattern "a C b . c B a . b A c ." --length 64 --expect lazy-hanoi --format json', 1, "a1fde97e534948fae0a1464691da32d526e76fb624b22f921613c8cefa728c21"),
     ('hanoi solve --disks 3 --target III', 1, "8d3fa48e5c451deaf08f453602a33e8f5ccb3add92e8b08ec2f43bd95192ed45"),
     ('hanoi solve --disks 3 --target III --format json', 1, "2683051218c764a0024237e3b30ff205f3211f86c33c46dc14a02ee87736607b"),
+    # each variant's solution at 1, 2 and 7 disks and the classical check at
+    # 1, 2 and 16, recorded before the replay resolved each letter once
+    ('hanoi solve --variant classical --disks 1', 0, "3366fe65b73e657dc0a4f9ce5db22ca614288178e6b734ea4094c3cd4d4df425"),
+    ('hanoi solve --variant classical --disks 1 --format json', 0, "128794b84a036a8008f1f6c2a223c51dca552796f85fe813f841b27ed36c8932"),
+    ('hanoi solve --variant classical --disks 2', 0, "a65b3dad0822e7539e0b59001630cb58a0f009c8fa32eacd4bd95d1968c92cfa"),
+    ('hanoi solve --variant classical --disks 2 --format json', 0, "0dc5a10b45063f4f6bb5a749b0b2f88002b9520a48c73148d5bbab1b697e3365"),
+    ('hanoi solve --variant classical --disks 7', 0, "5288a1ba461df4f099e7d3c0943220065436076a404e3645b8f7ab72e663b1c3"),
+    ('hanoi solve --variant classical --disks 7 --format json', 0, "6f0f8d5d0a1fc219b37366070720c9ac2dddd6e89aac6c7173583aee5bfe8344"),
+    ('hanoi solve --variant cyclic --disks 1', 0, "3366fe65b73e657dc0a4f9ce5db22ca614288178e6b734ea4094c3cd4d4df425"),
+    ('hanoi solve --variant cyclic --disks 1 --format json', 0, "1de4dbaf63ef1cf64c858c7bd9b3412ef15ad09e867ef0afdd24a5aecbdcd6ad"),
+    ('hanoi solve --variant cyclic --disks 2', 0, "dffff62b04ea87cc1927fc2d7ba66be0087c70ee954f9cdf9808e89b5e8bf2c6"),
+    ('hanoi solve --variant cyclic --disks 2 --format json', 0, "c2c0f772bcc5c7d506c259daf7fc963ea8f6ec95ea8cce97480febb73a18d5b6"),
+    ('hanoi solve --variant cyclic --disks 7', 0, "45ad68384dd23d57531b161e3794a43bd1be08db23df75142f3e4c1b35f44974"),
+    ('hanoi solve --variant cyclic --disks 7 --format json', 0, "876a77c1d53c4afbb63aac9676d96d55ab8380a416640ad699ab00c9a129f4d5"),
+    ('hanoi solve --variant lazy --disks 1', 0, "3366fe65b73e657dc0a4f9ce5db22ca614288178e6b734ea4094c3cd4d4df425"),
+    ('hanoi solve --variant lazy --disks 1 --format json', 0, "3901d36872d57243a694ed008eaed1c75d6e2dee3b5f4c3f889a8d07a77b1402"),
+    ('hanoi solve --variant lazy --disks 2', 0, "35564614bb04a674ea877af4084672ca18828765eedaf8b59032c90a51fdd707"),
+    ('hanoi solve --variant lazy --disks 2 --format json', 0, "47a714a1341984ecc455f37271a28181b0aaf7ced2492365daf864959d7fca48"),
+    ('hanoi solve --variant lazy --disks 7', 0, "d545ea25d27330209e83fbe7a71a43fd94afa6dac98af8f7b5f865a7a121de36"),
+    ('hanoi solve --variant lazy --disks 7 --format json', 0, "e643f981ff7e3e4d0f6d44dc07a3dc9acca931f9ce0b287534650f1b07986e47"),
+    ('hanoi verify --disks 1', 0, "f64f00dbe717557f8213d10d381b327ae0252ec2fced56eac1faa3167c0f42ac"),
+    ('hanoi verify --disks 1 --format json', 0, "df898fa7b9938c091c9b190194cf24f600a6733824bf200aabf0156d894cb73a"),
+    ('hanoi verify --disks 2', 0, "044decb6dc4db2a74852eaab8a26c483fc8875c7749a8665ec0c005f87606f26"),
+    ('hanoi verify --disks 2 --format json', 0, "93019933c6fcbf00366818142e8e5141b54094fd9c75ef51772148087a192242"),
+    ('hanoi verify --disks 16', 0, "0cff36d3a03bd290590ee585a0920196d82a46ed85f6903a23f85c381487250d"),
+    ('hanoi verify --disks 16 --format json', 0, "8efdbf9a88354edb669974f0344ce1b36adca1bd140a5c8fe06f64b00453f21b"),
 ]
 
 # (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown
