@@ -47,7 +47,7 @@ _MIRROR = Morphism.from_rules(HANOI_ALPHABET, {
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
 _CAPPED_PERIOD = 64
-_MOVES_MAX = 1 << 26  # the worst request: hanoi solve --disks 26 as JSON, ~0.77 GB, ~15-20 s
+_MOVES_MAX = 1 << 26  # the worst request: hanoi solve --disks 26 as JSON, ~0.77 GB, ~11-18 s
 
 
 class VariantViolationError(ValueError):
@@ -96,25 +96,17 @@ def variant_by_name(name: str) -> Variant:
             f"unknown variant {name!r}; available: {', '.join(sorted(VARIANTS))}") from None
 
 
-def _refusal(move: str, disk: int, below: int, floor: int) -> str:
-    """Why `move` cannot put `disk` on `below`; disk == floor: a bare source."""
-    src, dst = MOVE_PEGS[move]
-    if disk == floor:
-        return f"move {move}: peg {PEG_NAMES[src]} is empty"
-    return (f"move {move}: disk {disk} cannot cover smaller disk "
-            f"{below} on peg {PEG_NAMES[dst]}")
-
-
 @dataclass(frozen=True)
 class Trace:
     """Replay record: executed moves, completion events, final stacks.
 
     Events are (step, size, peg) triples marking the first step at which
     disks 1..size stand together on the named non-initial peg; steps are
-    1-based.  ``final`` holds pegs I, II and III as tuples of disk radii,
-    each listed bottom to top.  ``error`` carries the diagnosis of the
-    aborting step, if any; that step is the last of ``moves`` and the only
-    illegal one.
+    1-based.  Towers form one disk at a time, so event i is the tower of
+    size i + 1.  ``final`` holds pegs I, II and III as tuples of disk
+    radii, each listed bottom to top.  ``error`` carries the diagnosis of
+    the aborting step, if any; that step is the last of ``moves`` and the
+    only illegal one.
     """
 
     disks: int
@@ -125,10 +117,7 @@ class Trace:
     error: Optional[str] = None
 
     def event_for(self, size: int) -> Optional[tuple[int, int, str]]:
-        for event in self.events:
-            if event[1] == size:
-                return event
-        return None
+        return self.events[size - 1] if 0 < size <= len(self.events) else None
 
     def tower_peg(self) -> Optional[str]:
         """The peg where all the disks first stand together if they do so at
@@ -142,21 +131,27 @@ def simulate(word: Word, disks: int, variant: Variant = CLASSICAL) -> Trace:
     symbols = word.alphabet.symbols
     floor = disks + 1
     pegs = [[floor, *range(disks, 0, -1)], [floor], [floor]]
+    # each letter's (source stack, target stack, target peg), None off the variant
+    rules = [(pegs[MOVE_PEGS[move][0]], pegs[MOVE_PEGS[move][1]], MOVE_PEGS[move][1])
+             if move in variant.moves else None for move in symbols]
     events: list[tuple[int, int, str]] = []
     done = 0  # disks 1..done have stood together on a non-initial peg
     error = None
     step = 0
     for step, index in enumerate(memoryview(word.indices), start=1):
-        move = symbols[index]
-        if move not in variant.moves:
+        rule = rules[index]
+        if rule is None:
+            move = symbols[index]
             raise VariantViolationError(
                 f"unknown move {move!r} at step {step}" if move not in MOVE_PEGS else
                 f"move {move} is not allowed in the {variant.name} variant (step {step})")
-        src, dst = MOVE_PEGS[move]
-        source, target = pegs[src], pegs[dst]
+        source, target, dst = rule
         disk = source[-1]
         if not disk < target[-1]:
-            error = f"step {step}, {_refusal(move, disk, target[-1], floor)}"
+            move = symbols[index]
+            error = f"step {step}, move {move}: " + (
+                f"peg {PEG_NAMES[MOVE_PEGS[move][0]]} is empty" if disk == floor else
+                f"disk {disk} cannot cover smaller disk {target[-1]} on peg {PEG_NAMES[dst]}")
             break
         target.append(source.pop())
         # disk 1 stays on top of any tower 1..k, so one can only form as disk
@@ -226,8 +221,7 @@ def bfs_optimal(variant: Variant, disks: int,
     dst = peg_index(target)
     if src == dst:
         raise ValueError("source and target pegs must differ")
-    moves = [m for m in MOVE_ORDER if m in variant.moves]
-    move_pegs = [MOVE_PEGS[m] for m in moves]
+    rules = [(move, *MOVE_PEGS[move]) for move in MOVE_ORDER if move in variant.moves]
     weights = [3 ** d for d in range(disks)]
     floor = disks + 1
     start = sum(w * src for w in weights)
@@ -244,7 +238,7 @@ def bfs_optimal(variant: Variant, disks: int,
             rest, peg = divmod(rest, 3)
             if disk < tops[peg]:
                 tops[peg] = disk
-        for move, (a, b) in zip(moves, move_pegs):
+        for move, a, b in rules:
             disk = tops[a]
             if disk < tops[b]:
                 nxt = state + (b - a) * weights[disk - 1]

@@ -13,13 +13,13 @@ original one under the coding that drops the primes.
 A ``Construction`` holds only the four choices (source morphism, start,
 power and expanding letter b); c, z, t, g' and the coding tau are read
 off them, so tau g' = g tau holds by construction on every old letter
-and on the pair b'c'.  Coding and morphisms then also commute on every
-block of twice the width k' of g, with no check: b' occurs only inside
-g'(b), at an offset i with 1 <= i and i + 2 <= k' - 1, and c' directly
-follows it; so in y = g'(y) the image of every old letter and of every
-b' starts at a multiple of k', and no multiple of 2k' falls inside a
-b'c' pair.  ``validation_failures`` checks the consequences on finite
-prefixes of the fixed points.
+and on the pair b'c'.  Nothing else needs a check: b' and c' occur only
+in g'(b), side by side at offsets i and i + 1 with 1 <= i <= k' - 3,
+and every other image is over the old letters.  So in y = g'(y) c'
+follows every b', the image of every old letter and of every b' starts
+at a multiple of k', and no multiple of 2k' falls inside a b'c' pair:
+coding and morphisms commute on every block of twice the width k' of g.
+``validation_failures`` compares one finite prefix of the fixed points.
 """
 
 from __future__ import annotations
@@ -199,27 +199,17 @@ def construct_nonuniform(m: Morphism, start: str) -> Construction:
 
 
 def validation_failures(construction: Construction, length: int) -> list[str]:
-    """Empty when the construction checks out on a length-`length` prefix.
+    """Empty when the coded fixed point of the output morphism equals the
+    source fixed point on a length-`length` prefix.
 
-    Clauses: (i) the coded fixed point of the output morphism equals the
-    source fixed point; (ii) every primed expanding letter is immediately
-    followed by the primed companion.  Block commutation needs no clause:
-    tau g' = g tau on old letters and on b'c', and b'c' sits strictly inside
-    g'(b), so in y = g'(y) the images of old letters and of b' start at
-    multiples of k' and no multiple of 2k' splits a b'c' pair.
+    Nothing else needs a clause.  g'(b) is the only image holding b' or c',
+    side by side strictly inside it, so c' follows every b' of y = g'(y).
+    And tau g' = g tau holds on old letters and on b'c'; their images start
+    at multiples of k' in y, so no multiple of 2k' splits a b'c' pair, and
+    the two commute on every block of width 2k'.
     """
-    failures = []
     primed = MorphicSpec(construction.morphism, construction.start).pure_prefix(length)
     coded = construction.coding.apply(primed)
     base = MorphicSpec(construction.effective, construction.start).pure_prefix(length)
     at = coded.first_mismatch(base)
-    if at is not None:
-        failures.append(f"coded fixed point disagrees with the source at index {at}")
-    bp = construction.morphism.domain.index(construction.primed_expanding)
-    cp = construction.morphism.domain.index(construction.primed_companion)
-    indices = primed.indices
-    stray = np.flatnonzero((indices[:-1] == bp) & (indices[1:] != cp))
-    if stray.size:
-        failures.append(
-            f"primed expanding letter at index {stray[0]} is not followed by its companion")
-    return failures
+    return [] if at is None else [f"coded fixed point disagrees with the source at index {at}"]

@@ -278,13 +278,10 @@ class Morphism:
     def image(self, symbol: str) -> Word:
         return self.images[self.domain.index(symbol)]
 
-    def _expand(self, letters: np.ndarray) -> np.ndarray:
-        return _concat_rows(self._table, self._pad, letters)
-
     def apply(self, word: Word) -> Word:
         if word.alphabet != self.domain:
             raise DomainError("word is not over this morphism's domain alphabet")
-        return Word._of(self.codomain, self._expand(word.indices))
+        return Word._of(self.codomain, _concat_rows(self._table, self._pad, word.indices))
 
     @property
     def uniform_width(self) -> Optional[int]:
@@ -369,7 +366,7 @@ class MorphicSpec:
             elif len(letters) * longest > rest:
                 ends = np.cumsum(m._lengths.take(letters))
                 letters = letters[:int(np.searchsorted(ends, rest)) + 1]
-            image = m._expand(letters)[:rest]
+            image = _concat_rows(m._table, m._pad, letters)[:rest]
             done = max(filled, 1)
             out[filled:filled + len(image)] = image
             filled += len(image)

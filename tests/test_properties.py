@@ -467,6 +467,19 @@ def test_tower_peg_is_the_reference_completion_at_the_last_move(case):
         assert trace.tower_peg() == (event[2] if solved else None)
 
 
+@PROPERTY
+@given(move_words())
+def test_event_for_is_the_event_of_that_size(case):
+    # sizes -1 and 0 have no event, though events[size - 1] would name one
+    tokens, disks, variant = case
+    try:
+        trace = hanoi.simulate(Word.from_tokens(REPLAY_ALPHABET, tokens), disks, variant)
+    except hanoi.VariantViolationError:
+        return
+    for size in range(-1, disks + 2):
+        assert trace.event_for(size) == next((e for e in trace.events if e[1] == size), None)
+
+
 def test_simulate_matches_reference_on_catalog_prefixes():
     for name, variant in (("classical-hanoi", hanoi.CLASSICAL),
                           ("cyclic-hanoi", hanoi.CYCLIC), ("lazy-hanoi", hanoi.LAZY)):
