@@ -150,7 +150,6 @@ def kernel_explore(prefix: Word, radix: int, depth: int) -> KernelReport:
         e, r = queue.popleft()
         sub = seq[r::radix ** e]
         if not len(sub):
-            insufficient = True
             continue
         matched = False
         for rep_seq in rep_seqs:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import BINARY_ALPHABET, HANOI_ALPHABET
-from .words import _CHUNK, DomainError, Morphism, Word, _json_array, _text_line
+from .words import _SEPARATORS, DomainError, Morphism, Word, _pieces
 
 BAR_PROJECTION = Morphism.from_rules(
     HANOI_ALPHABET,
@@ -41,11 +41,12 @@ class IntSequence:
         object.__setattr__(self, "values", values)
 
     def text(self) -> str:
-        return _text_line(_decimal_cells(self.values, b" "))
+        return "".join(self.pieces("text"))
 
-    def json_text(self) -> str:
-        """The values as a JSON array, as ``json.dumps`` writes it."""
-        return _json_array(_decimal_cells(self.values, b", "))
+    def pieces(self, fmt: str):
+        """The values in text or, for fmt "json", as a JSON array, as
+        ``json.dumps`` writes it; in pieces of at most ``_CHUNK`` values."""
+        return _pieces(lambda run: _decimal_cells(run, _SEPARATORS[fmt]), self.values, fmt)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -55,18 +56,11 @@ class IntSequence:
 
 
 def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
-    """Each value's decimal digits and the separator, concatenated; built
-    ``_CHUNK`` values at a time, so each digit table and its mask stay
-    small, all in rows as wide as the largest value."""
-    width = len(str(values.max())) if values.size else 1
-    chunks = [_chunk_cells(values[start:start + _CHUNK], width, separator)
-              for start in range(0, len(values), _CHUNK)]
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-
-
-def _chunk_cells(values: np.ndarray, width: int, separator: bytes) -> np.ndarray:
-    """The rows right-aligned, less their leading zeros (by boolean
-    indexing: ``compress`` builds an 8-byte index per cell)."""
+    """Each value's decimal digits and the separator, concatenated, for at
+    least one value: rows right-aligned in a table as wide as the largest
+    value, less their leading zeros (by boolean indexing: ``compress``
+    builds an 8-byte index per cell)."""
+    width = len(str(values.max()))
     table = np.empty((len(values), width + len(separator)), dtype=np.uint8)
     table[:, width:] = np.frombuffer(separator, dtype=np.uint8)
     real = np.ones(table.shape, dtype=bool)

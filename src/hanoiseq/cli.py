@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -43,24 +44,23 @@ Result = tuple[int, list, dict | None]
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _json_line(payload: dict) -> str:
-    """The payload as json.dumps(payload, sort_keys=True) writes it: one
-    encoder call per value, but words and integer sequences come from their
-    array renderers; one join copies a long array once."""
-    parts = []
-    for key, value in sorted(payload.items()):
-        parts += (", ", _JSON.encode(key), ": ",
-                  value.json_text() if isinstance(value, (Word, IntSequence))
-                  else _JSON.encode(value))
-    return "".join(["{", *parts[1:], "}"])
-
-
 def _emit(fmt, lines, payload) -> None:
+    """Write the lines, or the payload as json.dumps(payload, sort_keys=True)
+    writes it, as they are made: a word or integer sequence 2^16 terms at a time."""
+    write = sys.stdout.write  # not .buffer: a caller may redirect to a StringIO
     if fmt == "json":
-        print(_json_line(payload))
-    else:
-        for line in lines:
-            print(line if isinstance(line, str) else line.text())
+        write("{")
+        for i, (key, value) in enumerate(sorted(payload.items())):
+            write(f"{', ' if i else ''}{_JSON.encode(key)}: ")
+            for piece in (value.pieces("json") if isinstance(value, (Word, IntSequence))
+                          else (_JSON.encode(value),)):
+                write(piece)
+        write("}\n")
+        return
+    for line in lines:
+        for piece in (line,) if isinstance(line, str) else line.pieces("text"):
+            write(piece)
+        write("\n")
 
 
 def _value_map(text, word: Word) -> dict:
@@ -316,7 +316,8 @@ def _derive_check(what: str, result, length: int):
         tm = catalog_prefix("thue-morse", length + 1)
         return "0V matches thue-morse", tm[0] == "0" and tm[1:] == result
     non, uni = (catalog_prefix(name, length) for name in ("z-nonuniform", "z-uniform"))
-    values = np.array(non.alphabet.symbols, dtype=np.int64).take(non.indices)
+    symbols = np.array(non.alphabet.symbols, dtype=np.int64)
+    values = symbols.astype(np.min_scalar_type(symbols.max()))[non.indices]
     return "matches both morphic presentations", (
         np.array_equal(result.values, values) and non.first_mismatch(uni) is None)
 
@@ -379,11 +380,12 @@ class Command(NamedTuple):
 
 
 # the largest value of an option whose work grows with it
-# prefix symbols; at 2^24 derive --what U as JSON peaks at 0.47 GB RSS in ~2.1 s
-# (the worst request of all is at hanoi._MOVES_MAX)
+# prefix symbols; at 2^24 the largest, derive --what V as JSON, peaks at ~0.33 GB
+# RSS in ~0.8 s (the slowest request is at hanoi._MOVES_MAX, the largest at
+# _COEFF_DEGREE_MAX)
 _LENGTH_MAX = 1 << 24
-_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~8 s at 2^16
-_BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~3 s at N = 12
+_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~2.5 s at 2^16
+_BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~1.3 s and 99 MB at N = 12
 _CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.5 s and 56 MB peak RSS at 2^20
 _VALIDATE_MAX = 1 << 20  # construct-nonuniform --validate peaks at ~50 MB RSS at 2^20
 _RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
@@ -391,8 +393,8 @@ _WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 s
 # the largest modulus whose series products stay exact in int64 at _ORDER_MAX:
 # _ORDER_MAX * (q - 1)^2 < 2^63
 _MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
-_DMAX_MAX = 4  # one quadratic series product per degree, ~19 s at order 2^16
-_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~21 s and 390 MB at order 2^16
+_DMAX_MAX = 4  # one quadratic series product per degree, ~7 s at order 2^16
+_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~9 s and 0.39 GB RSS at order 2^16
 
 _VARIANT = _arg("--variant", choices=sorted(hanoi.VARIANTS), default="classical")
 _LENGTH = _arg("--length", type=int, required=True, bounds=(0, _LENGTH_MAX))
@@ -548,7 +550,15 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        status = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, so that the flush at
+        # exit does not fail again (the recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

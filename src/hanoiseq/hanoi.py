@@ -47,7 +47,7 @@ _MIRROR = Morphism.from_rules(HANOI_ALPHABET, {
 _FULL_SCAN_MAX = 10_000
 _CAPPED_SCAN_MAX = 1_000_000
 _CAPPED_PERIOD = 64
-_MOVES_MAX = 1 << 26  # the worst request: hanoi solve --disks 26 as JSON, ~0.77 GB, ~11-18 s
+_MOVES_MAX = 1 << 26  # the slowest request: hanoi solve or verify --disks 26, ~9-13 s, 0.14 GB
 
 
 class VariantViolationError(ValueError):

@@ -30,6 +30,7 @@ import numpy as np
 
 TokenSeq = Union[str, Iterable[str]]
 _CHUNK = 1 << 16  # letters per gather, so its 8-byte index stays at 512 KiB
+_SEPARATORS = {"text": b" ", "json": b", "}  # after each rendered item
 
 
 class DomainError(ValueError):
@@ -72,19 +73,18 @@ def _concat_rows(table: np.ndarray, pad: Optional[int], letters: np.ndarray) -> 
     return rows if pad is None else rows.compress(rows != pad)
 
 
-def _text_line(cells: np.ndarray) -> str:
-    """UTF-8 rows that each end in one separating byte, as one line."""
-    return str(cells[:-1], "utf-8")
-
-
-_BRACKETS = np.frombuffer(b"[]", dtype=np.uint8)
-
-
-def _json_array(cells: np.ndarray) -> str:
-    """JSON values that each end in ", ", as one JSON array.  The cells are
-    freed before the decode, so the bytes are held twice at most."""
-    cells = np.concatenate((_BRACKETS[:1], cells[:-2], _BRACKETS[1:]))
-    return str(cells, "ascii")
+def _pieces(cells_of, items, fmt: str):
+    """The items in text or, for fmt "json", as one JSON array, rendered and
+    decoded ``_CHUNK`` at a time: ``cells_of(run)`` gives each item's UTF-8
+    bytes and the format's separator, which is dropped after the last item."""
+    if fmt == "json":
+        yield "["
+    for start in range(0, len(items), _CHUNK):
+        cells = cells_of(items[start:start + _CHUNK])
+        last = start + _CHUNK >= len(items)
+        yield str(cells[:-len(_SEPARATORS[fmt])] if last else cells, "utf-8")
+    if fmt == "json":
+        yield "]"
 
 
 def _byte_rows(texts) -> tuple[np.ndarray, Optional[int]]:
@@ -104,10 +104,9 @@ class Alphabet:
     _index: dict = field(init=False, repr=False, compare=False)
     dtype: np.dtype = field(init=False, repr=False, compare=False)
     _objects: np.ndarray = field(init=False, repr=False, compare=False)
-    # (table, pad): each symbol as a byte row, followed by the separator: " "
-    # for text, ", " for a JSON array (json.dumps escapes the symbol)
-    _text: tuple = field(init=False, repr=False, compare=False)
-    _json: tuple = field(init=False, repr=False, compare=False)
+    # per format, (table, pad): each symbol as a byte row, followed by the
+    # separator (in a JSON array, the symbol as json.dumps escapes it)
+    _cells: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         symbols = _tokens(self.symbols)
@@ -124,9 +123,9 @@ class Alphabet:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "dtype", np.min_scalar_type(len(symbols) - 1))
         object.__setattr__(self, "_objects", np.array(symbols, dtype=object))
-        object.__setattr__(self, "_text", _byte_rows(s + " " for s in symbols))
-        object.__setattr__(self, "_json",
-                           _byte_rows(json.dumps(s) + ", " for s in symbols))
+        object.__setattr__(self, "_cells", {
+            "text": _byte_rows(s + " " for s in symbols),
+            "json": _byte_rows(json.dumps(s) + ", " for s in symbols)})
 
     def index(self, symbol: str) -> int:
         try:
@@ -192,21 +191,27 @@ class Word:
         return tuple(self.alphabet._objects.take(self.indices).tolist())
 
     def text(self) -> str:
-        return _text_line(_concat_rows(*self.alphabet._text, self.indices))
+        """The tokens separated by single spaces, in one gather."""
+        return str(_concat_rows(*self.alphabet._cells["text"], self.indices)[:-1], "utf-8")
 
-    def json_text(self) -> str:
-        """The tokens as a JSON array, as ``json.dumps`` writes it."""
-        return _json_array(_concat_rows(*self.alphabet._json, self.indices))
+    def pieces(self, fmt: str):
+        """The tokens as ``text()`` spells them or, for fmt "json", as
+        ``json.dumps`` writes them, in pieces of at most ``_CHUNK`` tokens."""
+        return _pieces(lambda run: _concat_rows(*self.alphabet._cells[fmt], run),
+                       self.indices, fmt)
 
     def first_mismatch(self, other: "Word") -> Optional[int]:
         """First index below both lengths where the two words spell
         different tokens, or None; the alphabets may differ."""
         n = min(len(self), len(other))
-        # other's symbols as indices into self's alphabet, -1 if absent
-        lookup = np.array([self.alphabet._index.get(s, -1)
-                           for s in other.alphabet.symbols], dtype=np.int64)
-        differ = np.flatnonzero(self.indices[:n] != lookup.take(other.indices[:n]))
-        return int(differ[0]) if differ.size else None
+        # other's symbols as indices into self's alphabet; a symbol self's
+        # alphabet lacks gets its size, in the smallest dtype that holds it
+        absent = len(self.alphabet)
+        lookup = np.array([self.alphabet._index.get(s, absent)
+                           for s in other.alphabet.symbols], dtype=np.min_scalar_type(absent))
+        # indexing keeps a uint8 index at one byte; take would widen it to eight
+        differ = self.indices[:n] != lookup[other.indices[:n]]
+        return int(differ.argmax()) if differ.any() else None
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -134,7 +134,7 @@ class TestIntSequence:
     def test_text_and_json(self):
         s = IntSequence((1, 2, 3))
         assert s.text() == "1 2 3"
-        assert s.json_text() == "[1, 2, 3]"
+        assert "".join(s.pieces("json")) == "[1, 2, 3]"
 
     def test_text_and_json_across_a_chunk_boundary(self):
         # the digit table is built 2^16 values at a time; the widest and the
@@ -144,7 +144,7 @@ class TestIntSequence:
         values[2 ** 16 - 2:2 ** 16 + 2] = [0, big, big, 0]
         s = IntSequence(values)
         assert s.text() == " ".join(map(str, values))
-        assert s.json_text() == json.dumps(values)
+        assert "".join(s.pieces("json")) == json.dumps(values)
 
     def test_text_peaks_below_three_times_its_output(self):
         u = derive_U(catalog_prefix("classical-hanoi", 1 << 20))

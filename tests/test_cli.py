@@ -1,13 +1,21 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import hanoiseq
 from hanoiseq import cli, hanoi
-from hanoiseq.catalog import HANOI_ALPHABET, UnknownSequenceError
+from hanoiseq.catalog import HANOI_ALPHABET, UnknownSequenceError, catalog_prefix
 from hanoiseq.classicseq import IntSequence
 from hanoiseq.cli import _build_parser, run
 from hanoiseq.words import Word
@@ -525,6 +533,82 @@ class TestRendering:
         expected = json.dumps(payload, sort_keys=True, default=as_list) + "\n"
         assert run(argv + ["--format", "json"]) == status
         assert out_of(capsys) == (expected, "")
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestWriter:
+    """run() writes a long word or integer sequence in pieces of 2^16 terms:
+    the bytes are those of one join, or of one json.dumps of the payload."""
+
+    TERMS = (0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 3)
+
+    @staticmethod
+    def expected(what, terms, fmt):
+        tokens = list(catalog_prefix("classical-hanoi", terms).tokens())
+        if what == "generate":
+            argv, key, items = ["generate", "classical-hanoi"], "tokens", tokens
+            payload = {"name": "classical-hanoi", "length": terms}
+        else:  # U counts the plain (lower-case) moves so far
+            argv, key = ["derive", "--what", "U"], "values"
+            items = list(itertools.accumulate(int(t.islower()) for t in tokens))
+            payload = {"what": "U", "length": terms}
+        argv += ["--length", str(terms), "--format", fmt]
+        if fmt == "text":
+            return argv, " ".join(map(str, items)) + "\n"
+        return argv, json.dumps({**payload, key: items}, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("what", ["generate", "derive"])
+    @pytest.mark.parametrize("terms", TERMS)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_capsys_reads_one_join(self, what, terms, fmt, capsys):
+        argv, expected = self.expected(what, terms, fmt)
+        assert run(argv) == 0
+        assert out_of(capsys) == (expected, "")
+
+    @pytest.mark.parametrize("what", ["generate", "derive"])
+    @pytest.mark.parametrize("terms", TERMS)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_redirected_stdout_reads_one_join(self, what, terms, fmt):
+        # the benchmark captures a request this way; a StringIO has no .buffer
+        argv, expected = self.expected(what, terms, fmt)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.getvalue() == expected
+
+    def test_json_render_holds_one_piece_at_a_time(self):
+        argv = ["generate", "classical-hanoi", "--length", str(1 << 20), "--format", "json"]
+        with contextlib.redirect_stdout(_Discard()):
+            run(argv)  # the parser is built once per process, outside the trace
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 << 20  # the whole render is 5 MiB of text
+
+
+def test_a_closed_pipe_ends_with_exit_1_and_no_traceback():
+    src = str(Path(hanoiseq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hanoiseq.cli", "generate", "classical-hanoi",
+         "--length", str(1 << 20)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(1) == b"a"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def _outcome(argv, capsys):

@@ -594,7 +594,7 @@ def test_word_renders_like_join_and_json_dumps(symbols, data):
     word = Word(alphabet, indices)
     tokens = [symbols[i] for i in indices]
     assert word.text() == " ".join(tokens)
-    assert word.json_text() == json.dumps(tokens)
+    assert "".join(word.pieces("json")) == json.dumps(tokens)
 
 
 @PROPERTY
@@ -603,7 +603,7 @@ def test_word_renders_like_join_and_json_dumps(symbols, data):
 def test_int_sequence_renders_like_join_and_json_dumps(values):
     sequence = IntSequence(np.array(values, dtype=np.int64))
     assert sequence.text() == " ".join(map(str, values))
-    assert sequence.json_text() == json.dumps(values)
+    assert "".join(sequence.pieces("json")) == json.dumps(values)
 
 
 def reference_kernel(indices, radix, depth):

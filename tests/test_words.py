@@ -167,6 +167,25 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+class TestFirstMismatch:
+    """Words compare in their own dtype; a symbol the left alphabet lacks is
+    marked with its size, which needs uint16 at 256 symbols."""
+
+    def test_two_long_words_compare_in_a_few_bytes_per_letter(self):
+        left = catalog_prefix("classical-hanoi", 1 << 20)
+        right = catalog_prefix("lazy-hanoi", 1 << 20)
+        mismatch, peak = traced_peak(lambda: left.first_mismatch(right))
+        assert mismatch == 1
+        assert peak < 4 << 20
+
+    def test_an_absent_symbol_past_255_is_not_index_0(self):
+        left = Word(Alphabet(tuple(f"t{i}" for i in range(256))), (0, 0, 255))
+        right = Word.from_tokens(Alphabet(("t0", "new", "t255")), "t0 new t255")
+        assert left.first_mismatch(right) == 1
+        assert left.first_mismatch(right[:1]) is None
+        assert right.first_mismatch(left) == 1
+
+
 class TestPaddedTables:
     """Short image and symbol rows are filled with a value no row holds:
     the codomain size for a morphism, 0xFF for UTF-8 bytes."""
@@ -211,7 +230,7 @@ class TestChunkedGather:
         word = Word(alphabet, indices)
         tokens = [self.SYMBOLS[i] for i in indices.tolist()]
         assert word.text() == " ".join(tokens)
-        assert word.json_text() == json.dumps(tokens)
+        assert "".join(word.pieces("json")) == json.dumps(tokens)
 
     def test_text_peaks_below_two_and_a_half_times_its_output(self):
         word = catalog_prefix("classical-hanoi", 1 << 20)
