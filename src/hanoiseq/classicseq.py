@@ -23,20 +23,21 @@ BAR_PROJECTION = Morphism.from_rules(
     BINARY_ALPHABET)
 
 _ZERO = BINARY_ALPHABET.index("0")
-_ONE = BINARY_ALPHABET.index("1")
-_PLAIN = np.array([img.indices.item(0) for img in BAR_PROJECTION.images]) == _ONE
 
 
 @dataclass(frozen=True, eq=False)
 class IntSequence:
-    """Non-negative integers as one read-only int64 array."""
+    """Non-negative integers as one read-only array of the smallest unsigned
+    dtype that holds them."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.int64)  # a copy: frozen below
+        values = np.asarray(self.values)
         if values.size and values.min() < 0:
             raise ValueError("values must be non-negative")
+        top = values.max() if values.size else 0
+        values = values.astype(np.min_scalar_type(top))  # a copy: frozen below
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -83,13 +84,16 @@ def derive_U(prefix: Word) -> IntSequence:
     """Running count of plain moves, the current term included."""
     if prefix.alphabet != HANOI_ALPHABET:
         raise DomainError("expected a word over the six-letter move alphabet")
-    return IntSequence(np.cumsum(_PLAIN.take(prefix.indices)))
+    # T's index is 1 exactly at "1", a plain move
+    counts = derive_T(prefix).indices.astype(np.min_scalar_type(len(prefix)))
+    return IntSequence(np.cumsum(counts, dtype=counts.dtype, out=counts))
 
 
 def derive_V(u: IntSequence) -> Word:
-    """U reduced modulo 2, as a binary word."""
-    odd = u.values % 2 == 1
-    return Word._of(BINARY_ALPHABET, np.where(odd, _ONE, _ZERO))
+    """U reduced modulo 2: its low bit, the index of "0" or "1"."""
+    bits = u.values.astype(BINARY_ALPHABET.dtype)  # the cast keeps the low bit
+    bits &= 1
+    return Word._of(BINARY_ALPHABET, bits)
 
 
 def derive_Z(binary_prefix: Word) -> IntSequence:
@@ -103,7 +107,9 @@ def derive_Z(binary_prefix: Word) -> IntSequence:
     idx = binary_prefix.indices
     if not len(idx) or idx[0] != _ZERO:
         raise ValueError("sequence must begin with 0")
-    return IntSequence(np.diff(np.flatnonzero(idx == _ZERO)) - 1)
+    gaps = np.diff(np.flatnonzero(idx == _ZERO).astype(np.min_scalar_type(len(idx))))
+    gaps -= 1
+    return IntSequence(gaps)
 
 
 def doublefree_oracle(n: int) -> int:

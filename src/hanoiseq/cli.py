@@ -316,8 +316,8 @@ def _derive_check(what: str, result, length: int):
         tm = catalog_prefix("thue-morse", length + 1)
         return "0V matches thue-morse", tm[0] == "0" and tm[1:] == result
     non, uni = (catalog_prefix(name, length) for name in ("z-nonuniform", "z-uniform"))
-    symbols = np.array(non.alphabet.symbols, dtype=np.int64)
-    values = symbols.astype(np.min_scalar_type(symbols.max()))[non.indices]
+    digits = [int(s) for s in non.alphabet.symbols]
+    values = np.array(digits, dtype=np.min_scalar_type(max(digits)))[non.indices]
     return "matches both morphic presentations", (
         np.array_equal(result.values, values) and non.first_mismatch(uni) is None)
 
@@ -380,8 +380,8 @@ class Command(NamedTuple):
 
 
 # the largest value of an option whose work grows with it
-# prefix symbols; at 2^24 the largest, derive --what V as JSON, peaks at ~0.33 GB
-# RSS in ~0.8 s (the slowest request is at hanoi._MOVES_MAX, the largest at
+# prefix symbols; at 2^24 the largest, derive --what Z, peaks at ~0.25 GB RSS
+# in ~0.7-1.1 s (the slowest request is at hanoi._MOVES_MAX, the largest at
 # _COEFF_DEGREE_MAX)
 _LENGTH_MAX = 1 << 24
 _ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~2.5 s at 2^16

@@ -152,14 +152,6 @@ class Construction:
         images[b][self._interior:self._interior + 2] = (n, n + 1)
         return Morphism(extended, extended, tuple(Word(extended, img) for img in images))
 
-    @property
-    def primed_expanding(self) -> str:
-        return self.morphism.domain.symbols[-2]
-
-    @property
-    def primed_companion(self) -> str:
-        return self.morphism.domain.symbols[-1]
-
     @cached_property
     def coding(self) -> Morphism:
         """The coding that drops the primes."""

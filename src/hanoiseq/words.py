@@ -16,8 +16,7 @@ symbol is that symbol followed by at least one more is prolongable there,
 and has a unique infinite fixed point starting with it.  MorphicSpec
 bundles the morphism, the start symbol and an optional output coding;
 its ``prefix`` method materializes finite prefixes of the (coded) fixed
-point level by level.  Each level expands only the letters the previous
-level added, and the last level only the letters the requested length needs.
+point from their own earlier letters, each expanded once and in order.
 """
 
 from __future__ import annotations
@@ -247,10 +246,9 @@ class Morphism:
     codomain: Alphabet
     images: tuple[Word, ...]
     # images as one table of codomain indices, short rows filled with the pad,
-    # the codomain size (None when the morphism is uniform); the image lengths
+    # the codomain size (None when the morphism is uniform)
     _table: np.ndarray = field(init=False, repr=False, compare=False)
     _pad: Optional[int] = field(init=False, repr=False, compare=False)
-    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -263,8 +261,6 @@ class Morphism:
         table, pad = _padded([img.indices for img in images], len(self.codomain))
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_pad", pad)
-        object.__setattr__(self, "_lengths",
-                           np.array([len(img) for img in images], dtype=np.int64))
 
     @classmethod
     def from_rules(cls, domain: Alphabet, rules: Mapping[str, TokenSeq],
@@ -295,7 +291,7 @@ class Morphism:
 
     @property
     def is_erasing(self) -> bool:
-        return not self._lengths.all()
+        return not all(self.images)
 
     def power(self, n: int) -> "Morphism":
         """n-fold composition of an endomorphism with itself."""
@@ -352,28 +348,19 @@ class MorphicSpec:
         if length < 0:
             raise ValueError("length must be >= 0")
         m = self.morphism
-        width = m.uniform_width
-        longest = int(m._lengths.max())
         out = np.empty(length, dtype=m.domain.dtype)
         if length:
             out[0] = m.domain.index(self.start)
         # out[:filled] is a prefix of the fixed point x = m(x), and it is
-        # the image of x[:done]; so the image of x[done:filled] is the next
-        # stretch of x.  x[0] is the start symbol before anything is
-        # expanded.  Each letter is expanded once, and only the letters
-        # whose images reach `length` symbols are expanded.
+        # the image of x[:done]; so the image of the next known letters
+        # x[done:filled] is the next stretch of x.  x[0] is the start
+        # symbol, whose image begins with it, before anything is expanded.
         done = filled = 0
         while filled < length:
-            letters = out[done:max(filled, 1)]
-            rest = length - filled
-            if width:
-                letters = letters[:-(-rest // width)]
-            elif len(letters) * longest > rest:
-                ends = np.cumsum(m._lengths.take(letters))
-                letters = letters[:int(np.searchsorted(ends, rest)) + 1]
-            image = _concat_rows(m._table, m._pad, letters)[:rest]
-            done = max(filled, 1)
+            letters = out[done:max(filled, 1)][:_CHUNK]
+            image = _concat_rows(m._table, m._pad, letters)[:length - filled]
             out[filled:filled + len(image)] = image
+            done += len(letters)
             filled += len(image)
         return Word._of(m.domain, out)
 

@@ -156,8 +156,19 @@ class TestIntSequence:
             tracemalloc.stop()
         assert peak < 3 * len(text)
 
-    def test_values_are_one_read_only_int64_array(self):
-        values = derive_U(catalog_prefix("classical-hanoi", 64)).values
-        assert values.dtype == np.int64 and not values.flags.writeable
+    @pytest.mark.parametrize("top, dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16), (2 ** 32, np.uint64)])
+    def test_values_are_one_read_only_array_of_the_smallest_unsigned_dtype(self, top, dtype):
+        given = np.array([top, 0, 1])
+        values = IntSequence(given).values
+        assert values.dtype == dtype and not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 0
+        assert given.flags.writeable  # the caller's array is not frozen
+        assert values.tolist() == [top, 0, 1]
+
+    def test_projections_store_the_smallest_unsigned_dtype(self):
+        moves = catalog_prefix("classical-hanoi", 300)
+        assert derive_U(moves).values.dtype == np.uint8  # U reaches 200
+        assert derive_U(catalog_prefix("classical-hanoi", 400)).values.dtype == np.uint16
+        assert derive_Z(catalog_prefix("thue-morse", 600)).values.dtype == np.uint8

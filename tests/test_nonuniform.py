@@ -137,7 +137,6 @@ class TestConstruct:
         assert bad_t.indices.tolist() != good.t.indices.tolist()
         broken = types.SimpleNamespace(
             start=good.start, coding=good.coding, effective=good.effective,
-            primed_expanding=good.primed_expanding, primed_companion=good.primed_companion,
             morphism=Morphism(extended, extended, good.morphism.images[:-1] + (bad_t,)))
         assert not validation_failures(good, 2 ** 10)
         assert validation_failures(broken, 2 ** 10)
@@ -161,5 +160,5 @@ class TestConstruct:
         data = construction.to_json()
         assert data["provenance"]["expanding"] == construction.expanding
         assert data["provenance"]["power"] == construction.power
-        assert data["rules"][construction.primed_expanding] == \
-            list(construction.z.tokens())
+        primed_expanding = construction.morphism.domain.symbols[-2]
+        assert data["rules"][primed_expanding] == list(construction.z.tokens())

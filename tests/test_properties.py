@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hanoiseq import cli, hanoi
 from hanoiseq.algebra import Relation, poly_gcd, truncated_product
 from hanoiseq.automaton import dfao_from_uniform_morphism, kernel_explore
-from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
+from hanoiseq.catalog import (BINARY_ALPHABET, HANOI_ALPHABET, catalog_lookup,
+                              catalog_names, catalog_prefix)
 from hanoiseq.classicseq import IntSequence, derive_U, derive_Z
 from hanoiseq.hanoi import factor_census, squarefree_check
 from hanoiseq.nonuniform import (Construction, ConstructionError, construct_nonuniform,
@@ -61,8 +62,8 @@ def build_spec(images, coding_table=None) -> MorphicSpec:
     return MorphicSpec(morphism, "s0", coding)
 
 
-def reference_prefix(images, length, coding_table=None):
-    current = [0]
+def reference_prefix(images, length, coding_table=None, start=0):
+    current = [start]
     while len(current) < length:
         current = [j for i in current for j in images[i]]
     current = current[:length]
@@ -78,6 +79,26 @@ def test_prefix_matches_reference_expansion(data, length):
     spec = build_spec(images, coding_table)
     assert spec.prefix(length).indices.tolist() == \
         reference_prefix(images, length, coding_table)
+
+
+MORPHIC = tuple(name for name in catalog_names()
+                if isinstance(catalog_lookup(name), MorphicSpec))
+# images of lengths 9 and 1: one step's 2^16 letters give 2^16 to 9 * 2^16 more
+SKEWED = [[0, 1, 2, 1, 0, 2, 2, 1, 0], [2], [1]]
+
+
+@pytest.mark.parametrize("name", MORPHIC + ("skewed",))
+def test_long_prefixes_match_reference_expansion(name):
+    # a prefix grows by the images of at most 2^16 letters a step; for these
+    # morphisms the first full step writes from 2^16 symbols on and the next
+    # before 2^19, so a step that dropped, repeated or misordered letters shows
+    spec = build_spec(SKEWED) if name == "skewed" else catalog_lookup(name)
+    images = [img.indices.tolist() for img in spec.morphism.images]
+    coding_table = spec.coding and [img.indices.item(0) for img in spec.coding.images]
+    start = spec.morphism.domain.index(spec.start)
+    expected = reference_prefix(images, 2 ** 19 + 3, coding_table, start)
+    for length in (0, 1, 5, 2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 + 3, 2 ** 19 + 3):
+        assert spec.prefix(length).indices.tolist() == expected[:length]
 
 
 @PROPERTY
@@ -254,7 +275,7 @@ def test_construction_identities_hold_letter_by_letter(images):
         return
     tau, g, gp = construction.coding, construction.effective, construction.morphism
     b, c = construction.expanding, construction.companion
-    bp, cp = construction.primed_expanding, construction.primed_companion
+    bp, cp = gp.domain.symbols[-2:]  # the extension appends b', c'
     for sym in spec.morphism.domain.symbols:
         assert tau.apply(gp.image(sym)) == g.apply(tau.image(sym))
     assert tau.apply(gp.image(bp) + gp.image(cp)) == g.image(b) + g.image(c)

@@ -269,6 +269,14 @@ class TestFixedPoint:
                 long = short + rng.randrange(0, 200)
                 assert spec.prefix(long)[:short] == spec.prefix(short)
 
+    def test_non_uniform_prefix_peaks_below_two_bytes_per_symbol(self):
+        # the prefix itself is one byte per symbol; each step adds the
+        # gather of at most 2^16 letters, not a whole level
+        spec = morphic_entry("classical-hanoi-nonuniform")
+        prefix, peak = traced_peak(lambda: spec.pure_prefix(1 << 22))
+        assert len(prefix) == 1 << 22
+        assert peak < 2 * len(prefix)
+
     def test_fixed_point_law(self):
         # applying the morphism to a prefix re-produces that prefix
         for name in ("classical-hanoi", "period-doubling", "fibonacci"):
