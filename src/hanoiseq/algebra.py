@@ -2,9 +2,9 @@
 
 A series is a coefficient array c[0], ..., c[order-1] with values
 reduced modulo a prime q; every operation works modulo X^order, with
-multiplication a schoolbook convolution cut off at the order.  A
-relation is an identity sum_i A_i(X) F^i = 0 whose A_i are polynomials
-given as coefficient lists (constant term first).
+multiplication one exact big-integer product (Kronecker substitution) cut
+off at the order.  A relation is an identity sum_i A_i(X) F^i = 0 whose
+A_i are polynomials given as coefficient lists (constant term first).
 
 ``find_algebraic_relation`` searches for such relations by linear
 algebra: the unknowns are the coefficients of the A_i, each residue
@@ -68,14 +68,23 @@ class Series:
 
 def truncated_product(a: np.ndarray, b: np.ndarray, order: int, q: int) -> np.ndarray:
     """a·b mod (X^order, q) for int64 arrays reduced mod q.  Each product
-    coefficient sums at most min(len a, len b) terms below q^2 in int64, so
-    past 2^63 this raises instead of wrapping around."""
+    coefficient sums at most min(len a, len b) terms below q^2, so past
+    2^63 this raises instead of wrapping around.  Below it, by Kronecker
+    substitution: each array packs into one int in the narrowest
+    little-endian unsigned slots (2, 4 or 8 bytes) that hold that bound, so
+    no slot of the one big-integer product carries into the next."""
     a, b = a[:order], b[:order]
     if min(len(a), len(b)) * (q - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {q} is too large for exact products at order {order}")
     out = np.zeros(order, dtype=np.int64)
     if len(a) and len(b):
-        out[:len(a) + len(b) - 1] = np.convolve(a, b)[:order] % q
+        bound = min(len(a), len(b)) * (q - 1) ** 2
+        slot = np.dtype("<u2" if bound < 1 << 16 else "<u4" if bound < 1 << 32 else "<u8")
+        x, y = (int.from_bytes(v.astype(slot).tobytes(), "little") for v in (a, b))
+        full = len(a) + len(b) - 1
+        n = min(order, full)
+        product = (x * y).to_bytes(full * slot.itemsize, "little")
+        out[:n] = np.frombuffer(product, slot, n).astype(np.int64) % q
     return out
 
 

@@ -381,20 +381,23 @@ class Command(NamedTuple):
 
 # the largest value of an option whose work grows with it
 # prefix symbols; at 2^24 the largest, derive --what Z, peaks at ~0.25 GB RSS
-# in ~0.7-1.1 s (the slowest request is at hanoi._MOVES_MAX, the largest at
-# _COEFF_DEGREE_MAX)
+# in ~0.3-1.1 s (the slowest and the largest request are both christol search
+# at _MODULUS_MAX and _COEFF_DEGREE_MAX)
 _LENGTH_MAX = 1 << 24
-_ORDER_MAX = 1 << 16  # series order: the relation check is quadratic, ~2.5 s at 2^16
+_ORDER_MAX = 1 << 16  # series order: christol verify takes ~0.45 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~1.3 s and 99 MB at N = 12
 _CHECK_PREFIX_MAX = 1 << 20  # all indices at once: ~0.5 s and 56 MB peak RSS at 2^20
 _VALIDATE_MAX = 1 << 20  # construct-nonuniform --validate peaks at ~50 MB RSS at 2^20
 _RADIX_MAX = 1 << 16  # each new kernel class queues radix children, ~1 s at 2^16
 _WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 symbols
-# the largest modulus whose series products stay exact in int64 at _ORDER_MAX:
+# the largest modulus whose product coefficients stay below 2^63, in the
+# 8-byte slots of algebra.truncated_product, at _ORDER_MAX:
 # _ORDER_MAX * (q - 1)^2 < 2^63
 _MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
-_DMAX_MAX = 4  # one quadratic series product per degree, ~7 s at order 2^16
-_COEFF_DEGREE_MAX = 32  # with _DMAX_MAX, 165 unknowns: ~9 s and 0.39 GB RSS at order 2^16
+_DMAX_MAX = 4  # one series product per degree, ~0.3 s (q = 2) to ~0.9 s each at order 2^16
+# with _DMAX_MAX, 165 unknowns at order 2^16: ~2.7 s and 0.39 GB RSS at q = 2,
+# ~18 s (14 s of it the elimination) and 0.5 GB RSS at _MODULUS_MAX
+_COEFF_DEGREE_MAX = 32
 
 _VARIANT = _arg("--variant", choices=sorted(hanoi.VARIANTS), default="classical")
 _LENGTH = _arg("--length", type=int, required=True, bounds=(0, _LENGTH_MAX))

@@ -10,6 +10,8 @@ before the commands were made to return their result to a single renderer.
 was recorded while every request still built the parser of all commands.
 The ``hanoi solve`` and ``hanoi verify`` rows at 1, 2, 7 and 16 disks were
 recorded before ``simulate`` resolved each move letter once per replay.
+The ``christol`` rows at modulus 11863279, at modulus 3 and at order 16384
+were recorded before the series products became one big-integer multiply.
 Update an entry only for a deliberate change of output.
 """
 
@@ -165,6 +167,14 @@ GOLDEN = [
     ('hanoi verify --disks 2 --format json', 0, "93019933c6fcbf00366818142e8e5141b54094fd9c75ef51772148087a192242"),
     ('hanoi verify --disks 16', 0, "0cff36d3a03bd290590ee585a0920196d82a46ed85f6903a23f85c381487250d"),
     ('hanoi verify --disks 16 --format json', 0, "8efdbf9a88354edb669974f0344ce1b36adca1bd140a5c8fe06f64b00453f21b"),
+    # products in 8-byte slots (the largest prime modulus the CLI admits),
+    # over F_3, and at the order of the benchmark's relation check
+    ('christol search --seq period-doubling --modulus 11863279 --order 512', 0, "e3696e895b2d281bf8de1a6fb878feaecfe3ea0605f963ce3cac8bb16a1a6356"),
+    ('christol search --seq period-doubling --modulus 11863279 --order 512 --format json', 0, "0320c95067042098634bb834233531db2d355b5ef76ab5bcaf4bb4d3c3995910"),
+    ('christol search --seq thue-morse --modulus 3 --dmax 2 --order 1024', 0, "f5714a8554c079d5650c6ad692e90bcfff46494c34657d1a81a4f2fe39eab59a"),
+    ('christol search --seq thue-morse --modulus 3 --dmax 2 --order 1024 --format json', 0, "d2332dc940bb84dda77bf5ba0685b85dd785f6e5771de1a3ef583dbc9988db48"),
+    ('christol verify --order 16384', 0, "1a0978681cf90d641a42b64c6ba584e2e5d9d384d10a7ad2734b20db94d994aa"),
+    ('christol verify --order 16384 --format json', 0, "003fe6ffa103558276f4913ebf3d68e9b8141cc032609c71d7931bc98840f97d"),
 ]
 
 # (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown

@@ -586,6 +586,35 @@ def test_truncated_product_is_exact_up_to_the_modulus_cap(data, q, order):
     assert got.dtype == np.int64 and got.tolist() == _exact_product(a, b, order, q)
 
 
+# (q, len a, len b) whose bound min(len a, len b)·(q − 1)^2 sits just below
+# and at the 2- and 4-byte slot limits: 65522 and 65536 = 2^16 (twice), then
+# 4294836225 and 4294967296 = 2^32 (twice); with every coefficient q − 1 the
+# top product coefficient equals the bound
+SLOT_EDGES = [(182, 2, 2), (129, 4, 4), (129, 4, 9), (65536, 1, 1), (32769, 4, 4),
+              (32769, 9, 4)]
+
+
+@pytest.mark.parametrize("q,len_a,len_b", SLOT_EDGES)
+def test_truncated_product_is_exact_at_the_slot_edges(q, len_a, len_b):
+    a, b = [q - 1] * len_a, [q - 1] * len_b
+    full = len_a + len_b - 1
+    for order in (full - 1, full, full + 3):  # cut, whole, and a zero tail
+        got = truncated_product(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                                order, q)
+        assert got.dtype == np.int64 and got.tolist() == _exact_product(a, b, order, q)
+
+
+@pytest.mark.parametrize("q", [2, 11863279])
+def test_truncated_product_with_an_empty_operand_is_zero(q):
+    a = np.full(5, q - 1, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    for order in (0, 3, 8):
+        for x, y in ((a, empty), (empty, a), (empty, empty)):
+            got = truncated_product(x, y, order, q)
+            assert got.dtype == np.int64
+            assert got.tolist() == _exact_product(x.tolist(), y.tolist(), order, q)
+
+
 @PROPERTY
 @given(st.integers(1 << 28, 1 << 40), st.integers(0, 2))
 def test_truncated_product_refuses_past_int64(q, extra):
