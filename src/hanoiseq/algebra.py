@@ -9,9 +9,11 @@ A_i are polynomials given as coefficient lists (constant term first).
 ``find_algebraic_relation`` searches for such relations by linear
 algebra: the unknowns are the coefficients of the A_i, each residue
 coefficient gives one linear equation over F_q, and any non-trivial
-null-space vector is a relation valid to the truncation order.  Finding
-none rules out relations at this truncation only, so callers should
-treat the answer as evidence rather than a transcendence proof.
+null-space vector is a relation valid to the truncation order.  The
+equations are never stacked: each unknown's column, a shifted power
+X^j F^i, is reduced on its own.  Finding none rules out relations at this
+truncation only, so callers should treat the answer as evidence rather
+than a transcendence proof.
 """
 
 from __future__ import annotations
@@ -220,39 +222,36 @@ def evaluate_relation(rel: Relation, f: Series) -> Series:
     return Series(q, total)
 
 
-def nullspace_mod(matrix, q: int) -> list[tuple[int, ...]]:
-    """Basis of the right null space of an integer matrix modulo prime q."""
-    a = np.array(matrix, dtype=np.int64) % q
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % q
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = int(-a[row, free]) % q
-        basis.append(tuple(v))
-    return basis
+def nullspace_mod(columns, q: int) -> list[tuple[int, ...]]:
+    """Basis of the right null space modulo prime q of the matrix whose
+    columns ``columns`` yields: each is reduced against the independent
+    ones kept before it, in order, tracking its coordinates on the original
+    columns; one that reduces to zero gives the basis vector 1 there minus
+    those coordinates.  That is the canonical basis (0 at the other
+    dependent columns), in ascending order.  Residues multiply in int64,
+    so a modulus with (q - 1)^2 >= 2^63 raises before any work."""
+    if (q - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {q} is too large for exact products")
+    kept = []  # (pivot row, column with 1 there, its coordinates)
+    null = []
+    for width, column in enumerate(columns, 1):
+        v = np.asarray(column, dtype=np.int64) % q
+        coords = np.zeros(width, dtype=np.int64)
+        coords[-1] = 1
+        for pivot, u, u_coords in kept:
+            c = int(v[pivot])
+            if c:
+                v -= c * u
+                v %= q
+                coords[:len(u_coords)] -= c * u_coords
+                coords %= q
+        if v.any():
+            pivot = int(v.argmax())  # any non-zero row will do
+            inv = pow(int(v[pivot]), -1, q)
+            kept.append((pivot, v * inv % q, coords * inv % q))
+        else:
+            null.append(coords.tolist())
+    return [tuple(v) + (0,) * (width - len(v)) for v in null]
 
 
 def find_algebraic_relation(f: Series, max_degree: int,
@@ -278,13 +277,8 @@ def find_algebraic_relation(f: Series, max_degree: int,
     powers = [unit, f.coeffs][:max_degree + 1]
     while len(powers) <= max_degree:
         powers.append(truncated_product(powers[-1], f.coeffs, order, q))
-    columns = []
-    for i in range(max_degree + 1):
-        for j in range(coeff_degree + 1):
-            col = np.zeros(order, dtype=np.int64)
-            col[j:] = powers[i][:order - j]
-            columns.append(col)
-    basis = nullspace_mod(np.stack(columns, axis=1), q)
+    basis = nullspace_mod((np.concatenate((np.zeros(j, np.int64), power[:order - j]))
+                           for power in powers for j in range(coeff_degree + 1)), q)
     if not basis:
         return None
     vec = min(basis)

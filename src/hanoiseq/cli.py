@@ -380,9 +380,8 @@ class Command(NamedTuple):
 
 
 # the largest value of an option whose work grows with it
-# prefix symbols; at 2^24 the largest, derive --what Z, peaks at ~0.25 GB RSS
-# in ~0.3-1.1 s (the slowest and the largest request are both christol search
-# at _MODULUS_MAX and _COEFF_DEGREE_MAX)
+# prefix symbols; at 2^24 the largest request at any cap, derive --what Z,
+# peaks at ~0.25 GB RSS in ~0.3-1.1 s (the slowest is hanoi at 26 disks)
 _LENGTH_MAX = 1 << 24
 _ORDER_MAX = 1 << 16  # series order: christol verify takes ~0.45 s at 2^16
 _BFS_DISKS_MAX = 12  # breadth-first search over 3^N states, ~1.3 s and 99 MB at N = 12
@@ -395,8 +394,8 @@ _WIDTH_MAX = 24  # blocks of <= 6 letters pack into one uint64, ~1.5 s on 2^24 s
 # _ORDER_MAX * (q - 1)^2 < 2^63
 _MODULUS_MAX = 1 + math.isqrt(((1 << 63) - 1) // _ORDER_MAX)
 _DMAX_MAX = 4  # one series product per degree, ~0.3 s (q = 2) to ~0.9 s each at order 2^16
-# with _DMAX_MAX, 165 unknowns at order 2^16: ~2.7 s and 0.39 GB RSS at q = 2,
-# ~18 s (14 s of it the elimination) and 0.5 GB RSS at _MODULUS_MAX
+# with _DMAX_MAX, 165 unknowns at order 2^16: ~2.8 s and 70 MB RSS at q = 2,
+# ~7.3 s (4 s of it the column reduction) and 117 MB RSS at _MODULUS_MAX
 _COEFF_DEGREE_MAX = 32
 
 _VARIANT = _arg("--variant", choices=sorted(hanoi.VARIANTS), default="classical")

@@ -64,12 +64,18 @@ def _padded(rows: list[np.ndarray], pad: int) -> tuple[np.ndarray, Optional[int]
 
 def _concat_rows(table: np.ndarray, pad: Optional[int], letters: np.ndarray) -> np.ndarray:
     """The table rows of the letters, concatenated, pad cells dropped;
-    gathered ``_CHUNK`` letters at a time."""
-    if len(letters) > _CHUNK:
-        return np.concatenate([_concat_rows(table, pad, letters[i:i + _CHUNK])
-                               for i in range(0, len(letters), _CHUNK)])
-    rows = table.take(letters, axis=0).ravel()
-    return rows if pad is None else rows.compress(rows != pad)
+    gathered ``_CHUNK`` letters at a time, uniform rows straight into the
+    one output array."""
+    if len(letters) <= _CHUNK:
+        rows = table.take(letters, axis=0).ravel()
+        return rows if pad is None else rows.compress(rows != pad)
+    if pad is None:
+        out = np.empty((len(letters), table.shape[1]), dtype=table.dtype)
+        for i in range(0, len(letters), _CHUNK):
+            table.take(letters[i:i + _CHUNK], axis=0, out=out[i:i + _CHUNK])
+        return out.ravel()
+    return np.concatenate([_concat_rows(table, pad, letters[i:i + _CHUNK])
+                           for i in range(0, len(letters), _CHUNK)])
 
 
 def _pieces(cells_of, items, fmt: str):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,17 +229,133 @@ class TestFindRelation:
         with pytest.raises(InsufficientTruncationError):
             find_algebraic_relation(pd_series(40), 2, 2)
 
+    def test_modulus_past_exact_products_refused(self):
+        # 1/(1 - cX) satisfies (1 - cX) F - 1 = 0, but a residue product
+        # past 2^63 would wrap; at degree 1 no series product is made
+        q = 1099511627791  # the first prime above 2^40
+        c = 3
+        geometric = Series(q, [pow(c, n, q) for n in range(64)])
+        with pytest.raises(ValueError, match=f"^modulus {q} is too large"):
+            find_algebraic_relation(geometric, 1, 1)
+
+    def test_search_peaks_below_one_equation_matrix(self):
+        # the order x unknowns int64 matrix would be 165 * 2^14 * 8 B
+        f = pd_series(1 << 14)
+        tracemalloc.start()
+        try:
+            found = find_algebraic_relation(f, 4, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None and evaluate_relation(found, f).is_zero()
+        assert peak < 165 * (1 << 14) * 8
+
+
+def brute_force_basis(matrix, q):
+    """The canonical null-space basis read off every vector of F_q^c: a
+    column is free when some null vector ends there, and its basis vector
+    is the one null vector that is 1 there and 0 at every other free column."""
+    cols = matrix.shape[1]
+    vectors = np.array(list(itertools.product(range(q), repeat=cols)), dtype=np.int64)
+    null = vectors[~(matrix @ vectors.T % q).any(axis=0)]
+    free = sorted({int(np.flatnonzero(v)[-1]) for v in null if v.any()})
+    assert len(null) == q ** len(free)
+    basis = []
+    for f in free:
+        match = [v for v in null if all(v[g] == (g == f) for g in free)]
+        assert len(match) == 1
+        basis.append(tuple(match[0].tolist()))
+    return basis
+
+
+def known_basis_matrix(rng, q, rows, pivots, cols):
+    """A matrix with a known canonical null-space basis.  C is an r x cols
+    echelon matrix with identity columns at the pivots and random entries
+    right of each pivot; B = [I_r; random] rows, shuffled, is injective, so
+    B·C has C's null space: e_f - sum_k C[k, f] e_pivot_k per free column f."""
+    r = len(pivots)
+    c = np.zeros((r, cols), dtype=object)
+    for k, p in enumerate(pivots):
+        c[k, p + 1:] = [int(x) for x in rng.integers(0, q, cols - p - 1)]
+        c[:, p] = 0
+        c[k, p] = 1
+    b = np.vstack([np.eye(r, dtype=np.int64),
+                   rng.integers(0, q, (rows - r, r))]).astype(object)
+    b = b[rng.permutation(rows)]
+    expected = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = 1
+        for k, p in enumerate(pivots):
+            if p < f:
+                v[p] = -c[k, f] % q
+        expected.append(tuple(v))
+    return np.array(b.dot(c) % q, dtype=np.int64).reshape(rows, cols), expected
+
+
+def times_mod(matrix, v, q):
+    """matrix·v mod q in Python integers, which cannot wrap."""
+    return [sum(int(a) * x for a, x in zip(row, v)) % q for row in matrix.tolist()]
+
 
 class TestNullspace:
     def test_simple_kernel(self):
-        import numpy as np
         matrix = np.array([[1, 0, 1], [0, 1, 1]])
-        basis = nullspace_mod(matrix, 2)
+        basis = nullspace_mod(matrix.T, 2)
         assert basis == [(1, 1, 1)]
 
     def test_full_rank(self):
-        import numpy as np
         assert nullspace_mod(np.eye(3, dtype=int), 5) == []
+
+    def test_no_columns_and_empty_columns(self):
+        assert nullspace_mod([], 7) == []
+        assert nullspace_mod(np.zeros((3, 0), dtype=np.int64), 7) == [
+            (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_tiny_shapes_against_enumeration(self, q):
+        rng = np.random.default_rng(q)
+        for _ in range(60):
+            rows, cols = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+            matrix = rng.integers(0, q, (rows, cols))
+            if rng.random() < 0.5:  # sparse, so that ranks drop often
+                matrix *= rng.random((rows, cols)) < 0.3
+            assert nullspace_mod(matrix.T, q) == brute_force_basis(matrix, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 8191, 11863279, 3037000493])
+    def test_known_bases_tall_wide_and_rank_deficient(self, q):
+        # 3037000493 is the largest prime with (q - 1)^2 < 2^63
+        rng = np.random.default_rng(q)
+        for rows, cols, rank in [(40, 6, 6), (40, 12, 5), (5, 12, 5), (3, 9, 1),
+                                 (30, 20, 0), (12, 12, 12), (60, 25, 17)]:
+            pivots = sorted(rng.choice(cols, rank, replace=False).tolist())
+            matrix, expected = known_basis_matrix(rng, q, rows, pivots, cols)
+            basis = nullspace_mod(matrix.T, q)
+            assert basis == expected
+            assert all(not any(times_mod(matrix, v, q)) for v in basis)
+
+    @pytest.mark.parametrize("q", [2, 5, 11863279, 3037000493])
+    def test_random_matrices_give_canonical_null_vectors(self, q):
+        rng = np.random.default_rng(q + 1)
+        for rows, cols in [(50, 8), (6, 15), (20, 20), (1, 4)]:
+            matrix = rng.integers(0, q, (rows, cols))
+            matrix[:, rng.integers(cols)] = 0
+            basis = nullspace_mod(iter(matrix.T), q)
+            free = [max(i for i, x in enumerate(v) if x) for v in basis]
+            assert free == sorted(set(free)) and len(basis) >= cols - rows
+            for f, v in zip(free, basis):
+                assert v[f] == 1 and all(v[g] == 0 for g in free if g != f)
+                assert not any(times_mod(matrix, v, q))
+
+    def test_modulus_past_exact_products_refused_before_reading(self):
+        q = 1099511627791  # (q - 1)^2 passes 2^63
+
+        def columns():
+            raise AssertionError("a column was read")
+            yield
+
+        with pytest.raises(ValueError, match=f"^modulus {q} is too large"):
+            nullspace_mod(columns(), q)
 
     def test_prime_check(self):
         assert is_prime(2) and is_prime(97)

@@ -12,6 +12,8 @@ The ``hanoi solve`` and ``hanoi verify`` rows at 1, 2, 7 and 16 disks were
 recorded before ``simulate`` resolved each move letter once per replay.
 The ``christol`` rows at modulus 11863279, at modulus 3 and at order 16384
 were recorded before the series products became one big-integer multiply.
+The four ``christol search`` rows at 165 unknowns were recorded while the
+relation search still eliminated rows of a whole equation matrix.
 Update an entry only for a deliberate change of output.
 """
 
@@ -175,6 +177,12 @@ GOLDEN = [
     ('christol search --seq thue-morse --modulus 3 --dmax 2 --order 1024 --format json', 0, "d2332dc940bb84dda77bf5ba0685b85dd785f6e5771de1a3ef583dbc9988db48"),
     ('christol verify --order 16384', 0, "1a0978681cf90d641a42b64c6ba584e2e5d9d384d10a7ad2734b20db94d994aa"),
     ('christol verify --order 16384 --format json', 0, "003fe6ffa103558276f4913ebf3d68e9b8141cc032609c71d7931bc98840f97d"),
+    # searches at the caps' shape (165 unknowns): one finds the relation over
+    # F_2, the other none at the largest prime modulus the CLI admits
+    ('christol search --seq period-doubling --dmax 4 --coeff-degree 32 --order 16384', 0, "58619a2cac666d1fb5c749a3db8309da75bbdc273aff432aaa0126df16d4f87b"),
+    ('christol search --seq period-doubling --dmax 4 --coeff-degree 32 --order 16384 --format json', 0, "ab782da98122ace59a8730f50387dd0422dbbb0173c19b46bed21044c76e1b3d"),
+    ('christol search --seq period-doubling --modulus 11863279 --dmax 4 --coeff-degree 32 --order 4096', 0, "42a13343200c9b334ba640b3599b9a4d6d5f5bc7f8e547b4bc540e1e957239ec"),
+    ('christol search --seq period-doubling --modulus 11863279 --dmax 4 --coeff-degree 32 --order 4096 --format json', 0, "2bdda3e1ee9a0cc5c8ddc6d5ccd73ad977b6a626d4c5e7835c3b2b5924a3f53c"),
 ]
 
 # (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown

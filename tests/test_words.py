@@ -277,6 +277,16 @@ class TestFixedPoint:
         assert len(prefix) == 1 << 22
         assert peak < 2 * len(prefix)
 
+    @pytest.mark.parametrize("name", ["cyclic-hanoi", "z-uniform"])
+    def test_coded_prefix_peaks_below_two_and_a_half_bytes_per_symbol(self, name):
+        # a uniform coding gathers its chunks into its one output array,
+        # next to the pure prefix it reads; at 2^22 one chunk's workspace
+        # (at most 2.2 MiB, in cyclic-hanoi's padded expansion) is small
+        spec = morphic_entry(name)
+        prefix, peak = traced_peak(lambda: spec.prefix(1 << 22))
+        assert len(prefix) == 1 << 22
+        assert peak < 2.5 * len(prefix)
+
     def test_fixed_point_law(self):
         # applying the morphism to a prefix re-produces that prefix
         for name in ("classical-hanoi", "period-doubling", "fibonacci"):
