@@ -14,6 +14,8 @@ The ``christol`` rows at modulus 11863279, at modulus 3 and at order 16384
 were recorded before the series products became one big-integer multiply.
 The four ``christol search`` rows at 165 unknowns were recorded while the
 relation search still eliminated rows of a whole equation matrix.
+The four ``squarefree`` rows at 10^4 and 10^6 symbols were recorded while
+the square scan still compared the whole word at every period.
 Update an entry only for a deliberate change of output.
 """
 
@@ -183,6 +185,16 @@ GOLDEN = [
     ('christol search --seq period-doubling --dmax 4 --coeff-degree 32 --order 16384 --format json', 0, "ab782da98122ace59a8730f50387dd0422dbbb0173c19b46bed21044c76e1b3d"),
     ('christol search --seq period-doubling --modulus 11863279 --dmax 4 --coeff-degree 32 --order 4096', 0, "42a13343200c9b334ba640b3599b9a4d6d5f5bc7f8e547b4bc540e1e957239ec"),
     ('christol search --seq period-doubling --modulus 11863279 --dmax 4 --coeff-degree 32 --order 4096 --format json', 0, "2bdda3e1ee9a0cc5c8ddc6d5ccd73ad977b6a626d4c5e7835c3b2b5924a3f53c"),
+    # square scans at both budgets: capped at 10^6 symbols without a square,
+    # and the full period range at 10^4 with a square early or none at all
+    ('squarefree --seq classical-hanoi --length 1000000 --max-period 64', 0, "a85e299dc37622bb3bcefd3589a9b73f590b83e91d1558d345c2dcfd6d93c9d1"),
+    ('squarefree --seq classical-hanoi --length 1000000 --max-period 64 --format json', 0, "17789c9f9b8f8c272efbf58130fa6335a193a4b0eb3d944a1cbada773d65b92a"),
+    ('squarefree --seq lazy-hanoi --length 10000', 1, "266312dc5de50e960bea2edc72b098a21fdd651446e72fb5f77cfc82de260065"),
+    ('squarefree --seq lazy-hanoi --length 10000 --format json', 1, "44bdb9689fb1b6a93cd3f4334921df9780891cc3773134fa9084620f197a8439"),
+    ('squarefree --seq cyclic-hanoi --length 10000', 1, "ed40a3272aae3f436dbbb6bd694092524ef9fb5584359ee00de1174485a2f93f"),
+    ('squarefree --seq cyclic-hanoi --length 10000 --format json', 1, "50e2e9faa26e4e5628f46f33ba35b77798dbf61e37db22153472c48deee9ed8a"),
+    ('squarefree --seq z-uniform --length 10000', 0, "341d77e7c111e78c70a9f90beb250134a22506614a4ddf34b7bf40c09b2c3ddc"),
+    ('squarefree --seq z-uniform --length 10000 --format json', 0, "001d0786b8bbb212c0a368a292b2bf3add2c008188ede0da218a2ecddbc30e0d"),
 ]
 
 # (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown
