@@ -26,8 +26,8 @@ from .automaton import dfao_from_uniform_morphism, kernel_explore
 from .catalog import UnknownSequenceError, catalog_prefix, morphic_entry
 from .classicseq import (IntSequence, derive_T, derive_U, derive_V, derive_Z,
                          doublefree_oracle)
-from .hanoi import (SOLUTION_SEQUENCES, bfs_optimal, classical_target, factor_census,
-                    olive_solve, simulate, solution_length, squarefree_check,
+from .hanoi import (SOLUTION_SEQUENCES, bfs_optimal, check_scan_budget, classical_target,
+                    factor_census, olive_solve, simulate, solution_length, squarefree_check,
                     variant_by_name, verify_classical_prefix)
 from .nonuniform import construct_nonuniform, validation_failures
 from .toeplitz import ToeplitzSpec, toeplitz_expand
@@ -205,9 +205,9 @@ def cmd_census(args) -> Result:
 
 
 def cmd_squarefree(args) -> Result:
+    max_period = max(1, args.length // 2) if args.max_period is None else args.max_period
+    check_scan_budget(args.length, max_period)
     word = catalog_prefix(args.seq, args.length)
-    max_period = (max(1, args.length // 2) if args.max_period is None
-                  else args.max_period)
     hit = squarefree_check(word, max_period)
     payload = {"seq": args.seq, "length": args.length, "max_period": max_period,
                "square": list(hit) if hit else None}

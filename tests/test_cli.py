@@ -318,6 +318,16 @@ class TestOracles:
                     "--max-period", period]) == 2
         assert out_of(capsys) == ("", f"error: --max-period must be >= 1, got {period}\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", ["--seq cyclic-hanoi --length 1000000 --max-period 65",
+                                      "--seq classical-hanoi --length 10001"])
+    def test_squarefree_budget_refuses_before_the_prefix(self, argv, fmt, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(cli, "catalog_prefix", _refuse)
+        assert run(["squarefree", *argv.split(), "--format", fmt]) == 2
+        assert out_of(capsys) == ("", "error: scan budget exceeded: full period range up "
+                                      "to 10^4 symbols, periods <= 64 up to 10^6 symbols\n")
+
     def test_kernel(self, capsys):
         assert run(["kernel", "--seq", "period-doubling", "--depth", "6",
                     "--length", "4096", "--format", "json"]) == 0
@@ -712,7 +722,7 @@ SIZED = [
 UNBUDGETED = {
     (("hanoi", "solve"), "--disks"): "solution_length refuses past 2^26 moves",
     (("hanoi", "verify"), "--disks"): "solution_length refuses past 2^26 moves",
-    (("squarefree",), "--max-period"): "squarefree_check has its own scan budget",
+    (("squarefree",), "--max-period"): "check_scan_budget refuses before the prefix",
     (("eval",), "--index"): "one automaton step per digit, O(log n)",
     (("kernel",), "--depth"): "kernel_explore's work budget bounds the comparisons",
 }

@@ -1,9 +1,10 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from hanoiseq.catalog import HANOI_ALPHABET, catalog_prefix
+from hanoiseq.catalog import HANOI_ALPHABET, catalog_names, catalog_prefix
 from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, MOVE_ORDER, MOVE_PEGS,
                             PEG_NAMES, UnreachableError, Variant,
                             VariantViolationError, bfs_optimal, factor_census,
@@ -308,6 +309,31 @@ def _brute_earliest_square(tokens, max_period):
     return None
 
 
+def _run_length_earliest_square(word, max_period):
+    # the per-period run-length scan squarefree_check used before its byte
+    # search: every period compares the whole word
+    n = len(word)
+    if n < 2:
+        return None
+    arr = word.indices
+    best = None
+    for period in range(1, min(max_period, n // 2) + 1):
+        mismatch = np.flatnonzero(arr[:-period] != arr[period:])
+        bounds = np.empty(mismatch.size + 2, dtype=np.int64)
+        bounds[0] = -1
+        bounds[1:-1] = mismatch
+        bounds[-1] = n - period
+        runs = np.diff(bounds) - 1  # lengths of agreeing stretches
+        hits = np.flatnonzero(runs >= period)
+        if hits.size:
+            position = int(bounds[hits[0]]) + 1
+            if best is None or position < best[0]:
+                best = (position, period)
+                if position == 0:
+                    break
+    return best
+
+
 class TestSquarefree:
     def test_classical_prefix_squarefree(self):
         word = catalog_prefix("classical-hanoi", 2000)
@@ -341,3 +367,63 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_check(word, 10000)
         assert squarefree_check(word, 64) is None
+
+    @pytest.mark.parametrize("tokens,max_period,square", [
+        # a period-3 square at 1 before the period-1 square at 7
+        ("a b c A b c A B B", 4, (1, 3)),
+        # periods 2 and 4 both at 1, and a period-1 square later
+        ("c a b a b a b a b C C", 5, (1, 2)),
+        # period 3 at 1 ends on the last symbol, the very end the square
+        # of period 1 at 2 leaves to the longer periods
+        ("b c a a c a a", 3, (1, 3)),
+        ("a b c A b c A", 3, (1, 3)),
+        # max_period below n // 2 hides the only square
+        ("a b c a b c", 2, None),
+        ("a b c a b c", 3, (0, 3)),
+        ("a b c A b c a b c A b c", 5, None),
+    ])
+    def test_position_bound_cases(self, tokens, max_period, square):
+        word = moves(tokens)
+        assert _brute_earliest_square(word.tokens(), max_period) == square
+        assert _run_length_earliest_square(word, max_period) == square
+        assert squarefree_check(word, max_period) == square
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_agrees_with_run_length_scan_on_the_catalog(self, name):
+        for length, max_period in ((10_000, 5_000), (200_000, 64)):
+            word = catalog_prefix(name, length)
+            assert squarefree_check(word, max_period) == \
+                _run_length_earliest_square(word, max_period)
+
+    def test_agrees_with_run_length_scan_on_planted_squares(self):
+        # square-free classical stretches or random words over the six
+        # letters, with up to three squares copied in at random places
+        rng = random.Random(30)
+        classical = catalog_prefix("classical-hanoi", 5000).indices.tolist()
+        for _ in range(600):
+            n = rng.randrange(0, 300)
+            if rng.random() < 0.5:
+                start = rng.randrange(5000 - n)
+                indices = classical[start:start + n]
+            else:
+                indices = [rng.randrange(6) for _ in range(n)]
+            for _ in range(rng.randrange(4) if n >= 2 else 0):
+                period = rng.randrange(1, n // 2 + 1)
+                at = rng.randrange(n - 2 * period + 1)
+                indices[at + period:at + 2 * period] = indices[at:at + period]
+            word = Word(HANOI_ALPHABET, indices)
+            max_period = rng.randrange(1, 200)
+            assert squarefree_check(word, max_period) == \
+                _run_length_earliest_square(word, max_period)
+
+    def test_capped_scan_peaks_below_8_bytes_per_symbol(self):
+        # one byte per compared cell and one per byte of the search; the
+        # run-length scan's int64 temporaries took about 33 bytes a symbol
+        word = catalog_prefix("classical-hanoi", 10 ** 6)
+        tracemalloc.start()
+        try:
+            assert squarefree_check(word, 64) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6
