@@ -417,8 +417,8 @@ class TestSquarefree:
                 _run_length_earliest_square(word, max_period)
 
     def test_capped_scan_peaks_below_8_bytes_per_symbol(self):
-        # one byte per compared cell and one per byte of the search; the
-        # run-length scan's int64 temporaries took about 33 bytes a symbol
+        # one byte per compared cell, reused by every period; the run-length
+        # scan's int64 temporaries took about 33 bytes a symbol
         word = catalog_prefix("classical-hanoi", 10 ** 6)
         tracemalloc.start()
         try:
