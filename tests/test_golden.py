@@ -16,6 +16,10 @@ The four ``christol search`` rows at 165 unknowns were recorded while the
 relation search still eliminated rows of a whole equation matrix.
 The four ``squarefree`` rows at 10^4 and 10^6 symbols were recorded while
 the square scan still compared the whole word at every period.
+The ``derive --what U --length 70000`` rows (integers across the 2^16-value
+render boundary) and the ``toeplitz`` rows of a two-byte and a two-letter
+token (mixed-width byte rows) were recorded before ``IntSequence`` moved
+beside ``Word`` and the words layer spelled its separators once.
 Update an entry only for a deliberate change of output.
 """
 
@@ -195,6 +199,11 @@ GOLDEN = [
     ('squarefree --seq cyclic-hanoi --length 10000 --format json', 1, "50e2e9faa26e4e5628f46f33ba35b77798dbf61e37db22153472c48deee9ed8a"),
     ('squarefree --seq z-uniform --length 10000', 0, "341d77e7c111e78c70a9f90beb250134a22506614a4ddf34b7bf40c09b2c3ddc"),
     ('squarefree --seq z-uniform --length 10000 --format json', 0, "001d0786b8bbb212c0a368a292b2bf3add2c008188ede0da218a2ecddbc30e0d"),
+    # an integer sequence rendered in two runs, and tokens of unequal byte widths
+    ('derive --what U --length 70000', 0, "5b8fda940df9c7590b5e0b217b9c043bcabeeed5790968d7c1c4cfafea8ac880"),
+    ('derive --what U --length 70000 --format json', 0, "69f513e26d5ac114b888ff8fbc7edca6ffa517e284128ceb2e46ff13c702a17b"),
+    ('toeplitz --pattern "é ab . c ." --length 40', 0, "92086849b3bcd24320b7079662c4cef59d2ebd2cc7221a361a96b581b414f1ad"),
+    ('toeplitz --pattern "é ab . c ." --length 40 --format json', 0, "97685b29eec09843e73a52532d688686dc911c9f3e6dd009e16dd984d8f23386"),
 ]
 
 # (argv, exit code, stderr) of usage errors: stdout stays empty.  An unknown
@@ -218,6 +227,11 @@ USAGE_ERRORS = [
     ('toeplitz --pattern "a' + ' .' * 31 + '" --length 16777216 --format json', 2,
      'error: toeplitz budget exceeded: a length-16777216 prefix of this 32-token '
      'pattern fills more than 268435456 cells\n'),
+    # the move letters have no integer value of their own
+    ('christol search --seq classical-hanoi', 2,
+     "error: symbol 'a' has no value; give one with --map\n"),
+    ('christol search --seq classical-hanoi --format json', 2,
+     "error: symbol 'a' has no value; give one with --map\n"),
 ]
 
 EMPTY = hashlib.sha256(b"").hexdigest()
