@@ -8,9 +8,8 @@ from .automaton import (Dfao, KernelReport, NonUniformError,
                         dfao_from_uniform_morphism, kernel_explore)
 from .catalog import (UnknownSequenceError, catalog_lookup, catalog_names,
                       catalog_prefix, morphic_entry)
-from .classicseq import (BAR_PROJECTION, IntSequence, derive_T, derive_U,
-                         derive_V, derive_Z, doublefree_exhaustive,
-                         doublefree_oracle)
+from .classicseq import (BAR_PROJECTION, derive_T, derive_U, derive_V, derive_Z,
+                         doublefree_exhaustive, doublefree_oracle)
 from .hanoi import (CLASSICAL, CYCLIC, LAZY, Trace, UnreachableError, Variant,
                     VariantViolationError, bfs_optimal, factor_census,
                     olive_solve, simulate, squarefree_check, variant_by_name,
@@ -18,7 +17,7 @@ from .hanoi import (CLASSICAL, CYCLIC, LAZY, Trace, UnreachableError, Variant,
 from .nonuniform import (Construction, ConstructionError, construct_nonuniform,
                          find_expanding_letter, validation_failures)
 from .toeplitz import HOLE, NonConvergentError, ToeplitzSpec, fill_pass, toeplitz_expand
-from .words import (Alphabet, DomainError, Morphism, MorphicSpec,
+from .words import (Alphabet, DomainError, IntSequence, Morphism, MorphicSpec,
                     ProlongabilityError, Word, is_prolongable, spec_from_json,
                     spec_to_json)
 

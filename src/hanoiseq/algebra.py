@@ -124,8 +124,6 @@ def _poly_trim(p: Sequence[int]) -> tuple[int, ...]:
 def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], q: int):
     a = list(_poly_trim(a))
     b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     inv = pow(b[-1], -1, q)
     quot = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):

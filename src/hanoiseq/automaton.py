@@ -3,11 +3,11 @@
 A k-uniform morphism with images ``m(s) = m(s)[0] ... m(s)[k-1]`` is
 an automaton whose states are the alphabet symbols and whose transition
 on digit d moves to the d-th letter of the state's image: ``Dfao`` reads
-the spec's own (|A|, k) image table.  Reading the base-k digits of n
-most significant first, from the start symbol, lands on the n-th letter
-of the fixed point; the spec's coding, if any, then yields term n in
-O(log n) steps.  The start symbol begins its own image (prolongability),
-so the start state loops on 0 and leading zero digits change nothing.
+the spec's own images.  Reading the base-k digits of n most significant
+first, from the start symbol, lands on the n-th letter of the fixed
+point; the spec's coding, if any, then yields term n in O(log n) steps.
+The start symbol begins its own image (prolongability), so the start
+state loops on 0 and leading zero digits change nothing.
 
 ``kernel_explore`` gathers finite-prefix evidence for the size of the
 set of subsequences n -> a(k^e n + r): it closes the exponent/residue
@@ -63,7 +63,7 @@ class Dfao:
         output = (morphism.domain.symbols if coding is None
                   else tuple(img[0] for img in coding.images))
         return (self.radix, morphism.domain.index(self.spec.start),
-                morphism._table.tolist(), output)
+                [img.indices.tolist() for img in morphism.images], output)
 
     def eval(self, n: int) -> str:
         """Output symbol for index n (msd-first digit walk)."""
@@ -88,7 +88,7 @@ class Dfao:
         morphism, k = self.spec.morphism, self.radix
         alphabet = morphism.domain
         # the transition table digit-major: cell d * |A| + s holds delta(s, d)
-        columns = morphism._table.T.ravel()
+        columns = np.array([img.indices for img in morphism.images]).T.ravel()
         states = np.full(ns.shape, alphabet.index(self.spec.start), dtype=alphabet.dtype)
         power, top = 1, int(ns.max()) if ns.size else 0
         while power * k <= top:

@@ -10,12 +10,10 @@ recomputes U's values as the largest subset of 1..n containing no pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import BINARY_ALPHABET, HANOI_ALPHABET
-from .words import _SEPARATORS, DomainError, Morphism, Word, _pieces
+from .words import DomainError, IntSequence, Morphism, Word
 
 BAR_PROJECTION = Morphism.from_rules(
     HANOI_ALPHABET,
@@ -23,56 +21,6 @@ BAR_PROJECTION = Morphism.from_rules(
     BINARY_ALPHABET)
 
 _ZERO = BINARY_ALPHABET.index("0")
-
-
-@dataclass(frozen=True, eq=False)
-class IntSequence:
-    """Non-negative integers as one read-only array of the smallest unsigned
-    dtype that holds them."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.size and values.min() < 0:
-            raise ValueError("values must be non-negative")
-        top = values.max() if values.size else 0
-        values = values.astype(np.min_scalar_type(top))  # a copy: frozen below
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def text(self) -> str:
-        return "".join(self.pieces("text"))
-
-    def pieces(self, fmt: str):
-        """The values in text or, for fmt "json", as a JSON array, as
-        ``json.dumps`` writes it; in pieces of at most ``_CHUNK`` values."""
-        return _pieces(lambda run: _decimal_cells(run, _SEPARATORS[fmt]), self.values, fmt)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values.item(i)
-
-
-def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
-    """Each value's decimal digits and the separator, concatenated, for at
-    least one value: rows right-aligned in a table as wide as the largest
-    value, less their leading zeros (by boolean indexing: ``compress``
-    builds an 8-byte index per cell)."""
-    width = len(str(values.max()))
-    table = np.empty((len(values), width + len(separator)), dtype=np.uint8)
-    table[:, width:] = np.frombuffer(separator, dtype=np.uint8)
-    real = np.ones(table.shape, dtype=bool)
-    rest = values
-    for column in range(width - 1, -1, -1):
-        higher = rest // 10
-        table[:, column] = rest - 10 * higher + ord("0")
-        if column:  # the cell to the left holds a digit when some remain
-            real[:, column - 1] = higher > 0
-        rest = higher
-    return table[real]
 
 
 def derive_T(prefix: Word) -> Word:

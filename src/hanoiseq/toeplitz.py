@@ -121,9 +121,7 @@ def fill_pass(tokens: TokenSeq) -> tuple[str, ...]:
     out = list(seq)
     j = 0
     for i, tok in enumerate(seq):
-        if tok == HOLE:
-            if j >= len(seq):
-                raise NonConvergentError("prefix too short to fill its own holes")
+        if tok == HOLE:  # j counts the holes before i, so j <= i
             out[i] = seq[j]
             j += 1
     return tuple(out)

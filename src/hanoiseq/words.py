@@ -9,7 +9,8 @@ so the bar of ``a`` is ``A`` and ``a C b a`` reads "a, c-bar, b, a".  A
 morphism sends every symbol of its domain alphabet to a word over its
 codomain alphabet and extends to words by concatenating the images.  A
 coding is the symbol-to-symbol case: a morphism whose images are single
-letters, that is, a 1-uniform morphism.
+letters, that is, a 1-uniform morphism.  IntSequence holds non-negative
+integers the same way and renders them as Word renders its tokens.
 
 A non-erasing morphism (no image is empty) whose image of a chosen start
 symbol is that symbol followed by at least one more is prolongable there,
@@ -92,9 +93,10 @@ def _pieces(cells_of, items, fmt: str):
         yield "]"
 
 
-def _byte_rows(texts) -> tuple[np.ndarray, Optional[int]]:
+def _byte_rows(texts, fmt: str) -> tuple[np.ndarray, Optional[int]]:
     # 0xFF is never a byte of UTF-8
-    return _padded([np.frombuffer(t.encode(), dtype=np.uint8) for t in texts], 0xFF)
+    return _padded([np.frombuffer(t.encode() + _SEPARATORS[fmt], dtype=np.uint8)
+                    for t in texts], 0xFF)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class Alphabet:
         for pos, sym in enumerate(symbols):
             if not sym:
                 raise ValueError("empty symbol token")
+            if any("\ud800" <= ch <= "\udfff" for ch in sym):  # UTF-8 has no surrogates
+                raise ValueError(f"symbol {sym!r} is not valid UTF-8 text")
             if sym in index:
                 raise ValueError(f"duplicate symbol {sym!r}")
             index[sym] = pos
@@ -129,8 +133,8 @@ class Alphabet:
         object.__setattr__(self, "dtype", np.min_scalar_type(len(symbols) - 1))
         object.__setattr__(self, "_objects", np.array(symbols, dtype=object))
         object.__setattr__(self, "_cells", {
-            "text": _byte_rows(s + " " for s in symbols),
-            "json": _byte_rows(json.dumps(s) + ", " for s in symbols)})
+            "text": _byte_rows(symbols, "text"),
+            "json": _byte_rows(map(json.dumps, symbols), "json")})
 
     def index(self, symbol: str) -> int:
         try:
@@ -197,7 +201,8 @@ class Word:
 
     def text(self) -> str:
         """The tokens separated by single spaces, in one gather."""
-        return str(_concat_rows(*self.alphabet._cells["text"], self.indices)[:-1], "utf-8")
+        cells = _concat_rows(*self.alphabet._cells["text"], self.indices)
+        return str(cells[:-len(_SEPARATORS["text"])], "utf-8")
 
     def pieces(self, fmt: str):
         """The tokens as ``text()`` spells them or, for fmt "json", as
@@ -242,6 +247,56 @@ class Word:
         if self.alphabet != other.alphabet:
             raise DomainError("cannot concatenate words over different alphabets")
         return Word._of(self.alphabet, np.concatenate((self.indices, other.indices)))
+
+
+@dataclass(frozen=True, eq=False)
+class IntSequence:
+    """Non-negative integers as one read-only array of the smallest unsigned
+    dtype that holds them."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        if values.size and values.min() < 0:
+            raise ValueError("values must be non-negative")
+        top = values.max() if values.size else 0
+        values = values.astype(np.min_scalar_type(top))  # a copy: frozen below
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def text(self) -> str:
+        return "".join(self.pieces("text"))
+
+    def pieces(self, fmt: str):
+        """The values in text or, for fmt "json", as a JSON array, as
+        ``json.dumps`` writes it; in pieces of at most ``_CHUNK`` values."""
+        return _pieces(lambda run: _decimal_cells(run, _SEPARATORS[fmt]), self.values, fmt)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> int:
+        return self.values.item(i)
+
+
+def _decimal_cells(values: np.ndarray, separator: bytes) -> np.ndarray:
+    """Each value's decimal digits and the separator, concatenated, for at
+    least one value: rows right-aligned in a table as wide as the largest
+    value, less their leading zeros (by boolean indexing: ``compress``
+    builds an 8-byte index per cell)."""
+    width = len(str(values.max()))
+    table = np.empty((len(values), width + len(separator)), dtype=np.uint8)
+    table[:, width:] = np.frombuffer(separator, dtype=np.uint8)
+    real = np.ones(table.shape, dtype=bool)
+    rest = values
+    for column in range(width - 1, -1, -1):
+        higher = rest // 10
+        table[:, column] = rest - 10 * higher + ord("0")
+        if column:  # the cell to the left holds a digit when some remain
+            real[:, column - 1] = higher > 0
+        rest = higher
+    return table[real]
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,10 @@ class TestRelation:
         with pytest.raises(ValueError):
             Relation(2, ((0, 0), (0,)))
 
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(ValueError, match="^modulus 4 is not prime$"):
+            Relation(4, ((1,), (1,)))
+
     def test_leading_zero_polys_trimmed(self):
         rel = Relation(2, ((1,), (1, 1), (0, 0)))
         assert len(rel.polys) == 2

@@ -206,7 +206,9 @@ class TestKernelExplore:
 
     def test_bad_arguments(self):
         word = Word.from_tokens(BINARY_ALPHABET, "0 1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^radix must be >= 2$"):
             kernel_explore(word, 1, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            kernel_explore(word, 2, -1)
+        with pytest.raises(ValueError, match="^prefix must not be empty$"):
             kernel_explore(Word(BINARY_ALPHABET), 2, 4)

@@ -1,5 +1,6 @@
 import pytest
 
+from hanoiseq import catalog
 from hanoiseq.catalog import (UnknownSequenceError, catalog_lookup,
                               catalog_names, catalog_prefix, morphic_entry)
 from hanoiseq.toeplitz import ToeplitzSpec
@@ -59,3 +60,9 @@ def test_no_morphic_entry_erases():
 def test_prefix_helper_matches_entry():
     assert catalog_prefix("thue-morse", 16).text() == \
         catalog_lookup("thue-morse").prefix(16).text()
+
+
+def test_a_name_is_registered_once():
+    with pytest.raises(ValueError, match="^duplicate catalog key 'thue-morse'$"):
+        catalog._register("thue-morse", morphic_entry("thue-morse"))
+    assert catalog_lookup("thue-morse") is morphic_entry("thue-morse")

@@ -172,3 +172,20 @@ class TestIntSequence:
         assert derive_U(moves).values.dtype == np.uint8  # U reaches 200
         assert derive_U(catalog_prefix("classical-hanoi", 400)).values.dtype == np.uint16
         assert derive_Z(catalog_prefix("thue-morse", 600)).values.dtype == np.uint8
+
+
+# (refused call, exception type, message) that no other test reaches
+REFUSALS = [
+    (lambda: derive_U(catalog_prefix("thue-morse", 4)), DomainError,
+     "expected a word over the six-letter move alphabet"),
+    (lambda: derive_Z(catalog_prefix("classical-hanoi", 4)), DomainError,
+     "expected a word over the binary alphabet"),
+    (lambda: doublefree_exhaustive(21), ValueError, "supported for 1 <= n <= 20"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_refusal(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

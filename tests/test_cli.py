@@ -15,7 +15,9 @@ import pytest
 
 import hanoiseq
 from hanoiseq import cli, hanoi
-from hanoiseq.catalog import HANOI_ALPHABET, UnknownSequenceError, catalog_prefix
+from hanoiseq.automaton import Dfao
+from hanoiseq.catalog import (BINARY_ALPHABET, HANOI_ALPHABET, UnknownSequenceError,
+                              catalog_prefix)
 from hanoiseq.classicseq import IntSequence
 from hanoiseq.cli import _build_parser, run
 from hanoiseq.words import Word
@@ -824,6 +826,31 @@ class TestInputBudgets:
         assert time.perf_counter() - start < 5
         out, err = out_of(capsys)
         assert out == "" and err.startswith("error: kernel budget exceeded: ")
+
+
+# (argv, owner and name of the oracle, a wrong answer, the line it prints,
+# the JSON field it clears): only a wrong oracle reaches these exit-1 lines
+WRONG_ORACLES = [
+    ("hanoi solve --disks 3 --check-optimal", cli, "bfs_optimal",
+     lambda *args: (6, None), "optimal: 6 moves by search, MISMATCH", "optimal"),
+    ("construct-nonuniform --seq thue-morse --validate 64", cli, "validation_failures",
+     lambda *args: ["coded fixed point disagrees with the source at index 5"],
+     "validation: coded fixed point disagrees with the source at index 5", "valid"),
+    ("eval --seq thue-morse --check-prefix 16", Dfao, "eval_many",
+     lambda self, ns: Word.from_tokens(BINARY_ALPHABET, "0 1 1 1 1 0 0 1 1 0 0 1 0 1 1 0"),
+     "automaton agrees with the prefix for n < 16: NO (first mismatch at 3)", "check"),
+]
+
+
+@pytest.mark.parametrize("argv,owner,name,wrong,line,field", WRONG_ORACLES,
+                         ids=[w[0] for w in WRONG_ORACLES])
+def test_a_wrong_oracle_exits_1(argv, owner, name, wrong, line, field, monkeypatch, capsys):
+    monkeypatch.setattr(owner, name, wrong)
+    assert run(shlex.split(argv)) == 1
+    out, err = out_of(capsys)
+    assert (out.splitlines()[-1], err) == (line, "")
+    assert run([*shlex.split(argv), "--format", "json"]) == 1
+    assert json.loads(out_of(capsys)[0])[field] is False
 
 
 LIBRARY_ERRORS = sorted((obj for obj in vars(hanoiseq).values()

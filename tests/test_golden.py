@@ -232,6 +232,11 @@ USAGE_ERRORS = [
      "error: symbol 'a' has no value; give one with --map\n"),
     ('christol search --seq classical-hanoi --format json', 2,
      "error: symbol 'a' has no value; give one with --map\n"),
+    # an argv byte that is not UTF-8 reaches Python as a lone surrogate
+    ('toeplitz --pattern "\udcff ." --length 4', 2,
+     "error: symbol '\\udcff' is not valid UTF-8 text\n"),
+    ('toeplitz --pattern "\udcff ." --length 4 --format json', 2,
+     "error: symbol '\\udcff' is not valid UTF-8 text\n"),
 ]
 
 EMPTY = hashlib.sha256(b"").hexdigest()

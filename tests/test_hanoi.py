@@ -8,8 +8,9 @@ from hanoiseq.catalog import HANOI_ALPHABET, catalog_names, catalog_prefix
 from hanoiseq.hanoi import (CLASSICAL, CYCLIC, LAZY, MOVE_ORDER, MOVE_PEGS,
                             PEG_NAMES, UnreachableError, Variant,
                             VariantViolationError, bfs_optimal, factor_census,
-                            olive_solve, simulate, squarefree_check,
-                            variant_by_name, verify_classical_prefix)
+                            olive_solve, simulate, solution_length,
+                            squarefree_check, variant_by_name,
+                            verify_classical_prefix)
 from hanoiseq.words import Word
 
 FIVE_TRIPLES = {"a C b", "a c B", "A c b", "a c b", "A c B"}
@@ -427,3 +428,22 @@ class TestSquarefree:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 10 ** 6
+
+
+# (refused call, message) that no other test reaches; each raises ValueError
+REFUSALS = [
+    (lambda: bfs_optimal(CLASSICAL, 2, "IV", "II"), "unknown peg 'IV'; use I, II or III"),
+    (lambda: Variant("odd", frozenset(("a", "x"))), "unknown moves ['x']"),
+    (lambda: solution_length(CLASSICAL, 0), "disk count must be >= 1"),
+    (lambda: bfs_optimal(CLASSICAL, -1), "disk count must be >= 0"),
+    (lambda: factor_census(catalog_prefix("classical-hanoi", 8), 0), "width must be >= 1"),
+    (lambda: squarefree_check(catalog_prefix("classical-hanoi", 8), 0),
+     "max_period must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call,message", REFUSALS, ids=[r[1] for r in REFUSALS])
+def test_refusal(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,31 @@ def test_the_benchmark_reference_script_reads_names_that_exist():
     assert {"hanoi.simulate", "hanoi.factor_census", "hanoi.CYCLIC",
             "catalog.catalog_prefix"} <= names
     assert missing_attributes(names) == []
+
+
+# how words.py stores and writes sequences; _tokens and Word._of are shared
+WORDS_INTERNALS = {"_CHUNK", "_SEPARATORS", "_padded", "_concat_rows", "_pieces",
+                   "_byte_rows", "_decimal_cells", "_table", "_pad", "_cells",
+                   "_objects", "_index"}
+
+
+def internals_named(source: str) -> list[str]:
+    """The words.py internals that the source's code names, in order of first
+    use: as a name, an attribute, an import or a definition."""
+    names = (tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.NAME)
+    return list(dict.fromkeys(n for n in names if n in WORDS_INTERNALS))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "words.py"],
+                         ids=lambda p: p.name)
+def test_only_words_names_its_internals(path):
+    assert internals_named(path.read_text()) == []
+
+
+def test_the_check_sees_a_named_internal():
+    source = ('"""Mentions _CHUNK in prose only."""\n'
+              "from .words import _SEPARATORS, Word, _tokens\n"
+              "rows = spec.morphism._table.tolist()  # not _pad\n"
+              "def _decimal_cells(values, separator):\n    pass\n")
+    assert internals_named(source) == ["_SEPARATORS", "_table", "_decimal_cells"]

@@ -4,7 +4,7 @@ import pytest
 from hanoiseq.catalog import BINARY_ALPHABET, HANOI_ALPHABET, catalog_prefix
 from hanoiseq.toeplitz import (NonConvergentError, ToeplitzSpec, fill_pass,
                                toeplitz_expand)
-from hanoiseq.words import DomainError
+from hanoiseq.words import Alphabet, DomainError
 
 PAPERFOLDING = ToeplitzSpec.from_tokens("0 . 1 .", alphabet=BINARY_ALPHABET)
 HANOI_PATTERN = ToeplitzSpec.from_tokens("a C b . c B a . b A c .",
@@ -68,6 +68,26 @@ def test_pattern_symbol_outside_alphabet():
 
 def test_length_zero():
     assert len(toeplitz_expand(PAPERFOLDING, 0)) == 0
+
+
+# (refused call, message) that no other test reaches; each raises ValueError
+REFUSALS = [
+    (lambda: ToeplitzSpec.from_tokens("a .", alphabet=Alphabet("a .")),
+     "hole token '.' collides with an alphabet symbol"),
+    (lambda: toeplitz_expand(PAPERFOLDING, -1), "length must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,message", REFUSALS, ids=[r[1] for r in REFUSALS])
+def test_refusal(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+def test_fill_pass_never_runs_out_of_values():
+    # the j-th hole takes position j, and j holes come before it
+    assert fill_pass(". . 0 .") == (".", ".", "0", "0")
 
 
 class Filled(Exception):

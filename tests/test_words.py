@@ -35,6 +35,44 @@ class TestAlphabet:
             HANOI_ALPHABET.index("x")
 
 
+THUE_MORSE = morphic_entry("thue-morse")
+AB = Alphabet("a b")
+
+# (refused call, exception type, message) that no other test reaches
+REFUSALS = [
+    (lambda: Alphabet(("a", "")), ValueError, "empty symbol token"),
+    # an argv byte that is not UTF-8 reaches Python as a lone surrogate
+    (lambda: Alphabet(("\udcff", "b")), ValueError,
+     "symbol '\\udcff' is not valid UTF-8 text"),
+    (lambda: Morphism(AB, AB, (Word(AB, (0,)),)), ValueError,
+     "exactly one image per domain symbol required"),
+    (lambda: Morphism(AB, AB, (Word(AB, (0,)), Word(BINARY_ALPHABET, (0,)))), DomainError,
+     "image word is not over the codomain alphabet"),
+    (lambda: Morphism.from_rules(AB, {"a": "b", "b": "a", "z": "a"}), DomainError,
+     "rules mention symbols outside the domain: ['z']"),
+    (lambda: Morphism.from_rules(AB, {"a": "a b"}), ValueError,
+     "no image given for symbol 'b'"),
+    (lambda: Morphism.from_rules(AB, {"a": "0", "b": "1"}, BINARY_ALPHABET).power(2),
+     DomainError, "powers need domain == codomain"),
+    (lambda: PHI.power(0), ValueError, "power must be >= 1"),
+    (lambda: MorphicSpec(THUE_MORSE.morphism, THUE_MORSE.start, PHI), DomainError,
+     "coding domain must match the morphism alphabet"),
+    (lambda: THUE_MORSE.pure_prefix(-1), ValueError, "length must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_refusal(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_alphabet_iterates_its_symbols_and_a_word_equals_no_other_type():
+    assert list(AB) == ["a", "b"]
+    assert hw("a") != 1
+
+
 class TestWord:
     def test_tokens_round_trip(self):
         w = hw("a C b")
